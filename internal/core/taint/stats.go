@@ -2,7 +2,7 @@ package taint
 
 // Run statistics for the wire tiering engine (DESIGN.md §9).
 //
-// The adaptive endpoint classifies every outgoing buffer into a wire
+// The instrumented endpoint classifies every outgoing buffer into a wire
 // tier (passthrough / uniform / sparse / groups) from three numbers:
 // how many bytes are dirty, how many maximal dirty runs they form, and
 // whether all of them share one label. Computing those by rescanning

@@ -23,14 +23,12 @@ import (
 //     ascending offset order, non-overlapping, non-empty, non-zero-id
 //     and inside the data extent — anything else is stream corruption.
 //
-// Version negotiation: a stream that may carry 'U'/'S' frames opens
-// with the magic "DTF2" instead of "DTF1". The PR 5 decoder treats an
-// unknown fourth magic byte as a legacy raw-group stream, so an
-// adaptive sender must never be pointed at a pre-tier peer — the
-// adaptive endpoint is opt-in at construction exactly so the tags only
-// flow where both ends negotiated them. This decoder accepts both
-// magics (and all four tags under either), keeping every older sender
-// byte-compatible.
+// Version marking: a stream that may carry 'U'/'S' frames opens with
+// the magic "DTF2" instead of "DTF1". A pre-tier decoder treats an
+// unknown fourth magic byte as a legacy raw-group stream, so a DTF2
+// sender needs a peer running this decoder. This decoder accepts both
+// magics (and all four tags under either) as well as the legacy raw
+// group stream, keeping every older sender byte-compatible.
 
 // adaptiveMagic opens a framed stream whose sender may emit the
 // uniform/sparse tiers.
@@ -184,8 +182,7 @@ func parseRangeTable(table []byte, n int) ([]DirtyRange, error) {
 // Packet codec tiers: a datagram whose payload is uniformly tainted
 // travels under the magic "DU" (header + Global ID + raw bytes); a
 // mostly-clean one under "DS" (header + range count + table + raw
-// bytes). Receivers accept all four magics; the tiered senders are
-// opt-in like the stream tiers.
+// bytes). Receivers accept all four magics.
 
 var (
 	uniformPacketMagic = [2]byte{'D', 'U'}

@@ -14,11 +14,11 @@ import (
 	"dista/internal/taintmap"
 )
 
-// Chaos regression for the clean-path bypass and the adaptive tiering
-// layer (run by `make chaos`): kill and restart the Taint Map under a
-// stream mixing clean, uniform, sparse and dense messages over an
-// adaptive endpoint pair, and assert neither the bypass nor a tier
-// switch ever becomes an unsoundness hole. The invariant: a tainted
+// Chaos regression for the clean-path bypass and the tiered writer
+// (run by `make chaos`): kill and restart the Taint Map under a stream
+// mixing clean, uniform, sparse and dense messages over an endpoint
+// pair, and assert neither the bypass nor a tier switch ever becomes
+// an unsoundness hole. The invariant: a tainted
 // buffer is either transferred with its labels intact or refused
 // loudly — reconnect/degraded mode must never downgrade it onto the
 // passthrough or a wrong-label uniform frame, and clean traffic must
@@ -70,7 +70,7 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 		tracker.WithLocalID(recvAgent.LocalID()))
 
 	ca, cb := net.Pipe()
-	sender, receiver := NewAdaptiveEndpoint(senderAgent, ca), NewAdaptiveEndpoint(recvAgent, cb)
+	sender, receiver := NewEndpoint(senderAgent, ca), NewEndpoint(recvAgent, cb)
 
 	// Fixed-size app messages: first byte says what the receiver must
 	// find — 'C' clean, 'U' uniformly tainted, 'S' two tainted islands

@@ -1,7 +1,6 @@
 package instrument
 
 import (
-	"io"
 	"sync"
 
 	"dista/internal/core/taint"
@@ -26,18 +25,13 @@ type RawTransport interface {
 
 // CustomEndpoint applies the stream-oriented (Type 1) wrapper to a
 // custom transport, exactly as Endpoint does for the standard socket
-// natives.
+// natives: the same tier-selecting frame writer and the same liberal
+// frame reader.
 type CustomEndpoint struct {
 	agent *tracker.Agent
 	rt    RawTransport
-
-	wmu        sync.Mutex
-	wroteMagic bool
-
-	rmu     sync.Mutex
-	dec     wire.FrameDecoder
-	rbuf    []byte
-	readErr error
+	w     frameWriter
+	r     frameReader
 }
 
 // WrapCustom instruments a custom transport for the given agent. The
@@ -47,52 +41,25 @@ func WrapCustom(agent *tracker.Agent, rt RawTransport) *CustomEndpoint {
 	return &CustomEndpoint{agent: agent, rt: rt}
 }
 
-// Write sends b with its taints through the custom native. Like the
-// socket endpoint, a clean buffer travels as a passthrough frame; a
-// custom transport may be message-oriented, so the frame is assembled
-// contiguously (in a pooled buffer) rather than as two sends.
+// Write sends b with its taints through the custom native, on the tier
+// the socket endpoint would pick. A custom transport may be
+// message-oriented, so each frame is assembled contiguously and sent
+// with one SendRaw rather than as a head and a body.
 func (e *CustomEndpoint) Write(b taint.Bytes) error {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.agent.Mode() != tracker.ModeDista {
-		e.agent.AddTraffic(len(b.Data), len(b.Data))
-		return e.rt.SendRaw(b.Data)
+	return e.w.write(e.agent, b, e.rt.SendRaw, e.sendFrame)
+}
+
+// sendFrame joins a frame's head and body in a pooled buffer and sends
+// it as one message.
+func (e *CustomEndpoint) sendFrame(head, body []byte) error {
+	if body == nil {
+		return e.rt.SendRaw(head)
 	}
-	if len(b.Data) == 0 {
-		return e.rt.SendRaw(nil)
-	}
-	pre := 0
-	if !e.wroteMagic {
-		pre = wire.StreamMagicLen
-	}
-	var out []byte
-	var buf *[]byte
-	if b.Clean() {
-		buf = wire.GetBuf(pre + wire.PassthroughFrameLen(len(b.Data)))
-		out = *buf
-		if pre > 0 {
-			out = wire.AppendStreamMagic(out)
-		}
-		out = wire.AppendPassthroughFrame(out, b.Data)
-	} else {
-		runs, err := registerRuns(e.agent, b, nil)
-		if err != nil {
-			return err
-		}
-		buf = wire.GetBuf(pre + wire.GroupsFrameLen(len(b.Data)) + wire.EncodeSlack)
-		out = *buf
-		if pre > 0 {
-			out = wire.AppendStreamMagic(out)
-		}
-		out = wire.AppendGroupsFrame(out, b.Data, runs)
-	}
-	e.agent.AddTraffic(len(b.Data), len(out))
+	buf := wire.GetBuf(len(head) + len(body))
+	out := append(append(*buf, head...), body...)
 	err := e.rt.SendRaw(out)
 	*buf = out
 	wire.PutBuf(buf)
-	if err == nil {
-		e.wroteMagic = true
-	}
 	return err
 }
 
@@ -104,57 +71,7 @@ func (e *CustomEndpoint) Read(buf *taint.Bytes) (int, error) {
 	if e.agent.Mode() != tracker.ModeDista {
 		return e.rt.RecvRaw(buf.Data)
 	}
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	if err := e.fill(len(buf.Data)); err != nil {
-		return 0, err
-	}
-	n, runs := e.dec.NextRunsInto(buf.Data)
-	if wire.RunsAllUntainted(runs) {
-		if buf.HasShadow() {
-			buf.SetRange(0, n, taint.Taint{})
-		}
-		return n, nil
-	}
-	labels, err := resolveRuns(e.agent, runs)
-	if err != nil {
-		return 0, err
-	}
-	adoptRuns(buf, runs, labels)
-	return n, nil
-}
-
-func (e *CustomEndpoint) fill(want int) error {
-	if e.dec.Buffered() > 0 {
-		return nil
-	}
-	if e.readErr != nil {
-		return e.readErr
-	}
-	if need := wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen; cap(e.rbuf) < need {
-		e.rbuf = make([]byte, need)
-	}
-	raw := e.rbuf[:cap(e.rbuf)]
-	for e.dec.Buffered() == 0 {
-		n, err := e.rt.RecvRaw(raw)
-		if n > 0 {
-			if ferr := e.dec.Feed(raw[:n]); ferr != nil {
-				e.readErr = ferr
-				return ferr
-			}
-		}
-		if err != nil {
-			if err == io.EOF && e.dec.PendingPartial() {
-				err = io.ErrUnexpectedEOF
-			}
-			e.readErr = err
-			if e.dec.Buffered() > 0 {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	return e.r.read(e.agent, buf, e.rt.RecvRaw)
 }
 
 // customRegistry holds user-registered method rows.

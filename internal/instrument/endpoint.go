@@ -3,8 +3,6 @@ package instrument
 import (
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 
 	"dista/internal/core/taint"
 	"dista/internal/core/tracker"
@@ -21,55 +19,28 @@ var ErrNoTaintMap = errors.New("instrument: dista mode requires a Taint Map clie
 // Endpoint is the taint-aware wrapper around one stream connection. It
 // is the runtime object behind the Type 1 wrappers (socketWrite0 /
 // socketRead0, Fig. 6) and is reused by the Type 3 dispatcher wrappers,
-// since NIO socket channels carry the same continuous group stream.
+// since NIO socket channels carry the same continuous frame stream.
+//
+// Every write goes through the tier-selecting frame writer (DESIGN.md
+// §9): the stream opens with the DTF2 magic and each buffer travels as
+// a passthrough, uniform, sparse or groups frame, whichever is the
+// cheapest sound form given the connection's observed taint density.
+// Reads decode every format a peer may send — DTF2, DTF1 framed, or
+// the legacy raw group stream.
 //
 // Exactly one Endpoint must wrap each connection end: it owns the
-// stream decoder state that reassembles 5-byte groups across
-// arbitrarily fragmented reads.
+// stream decoder state that reassembles frames across arbitrarily
+// fragmented reads.
 type Endpoint struct {
-	agent    *tracker.Agent
-	conn     *netsim.Conn
-	legacy   bool // write the pre-framing raw group stream
-	adaptive bool // negotiate the DTF2 tiered format (uniform/sparse frames)
-
-	wmu        sync.Mutex        // serializes writes so frames never interleave
-	wroteMagic bool              // stream magic already emitted on this conn
-	wscratch   []byte            // persistent frame-header/magic assembly scratch
-	tier       densityTracker    // per-connection tier selector (under wmu)
-	dranges    []wire.DirtyRange // persistent sparse range-table scratch
-	wruns      []wire.Run        // persistent run-registration scratch (under wmu)
-
-	rmu     sync.Mutex // protects dec, rbuf and readErr
-	dec     wire.FrameDecoder
-	rbuf    []byte // persistent raw-read scratch
-	readErr error
+	agent *tracker.Agent
+	conn  *netsim.Conn
+	w     frameWriter
+	r     frameReader
 }
 
 // NewEndpoint wraps conn for the given agent.
 func NewEndpoint(agent *tracker.Agent, conn *netsim.Conn) *Endpoint {
 	return &Endpoint{agent: agent, conn: conn}
-}
-
-// NewLegacyEndpoint wraps conn like NewEndpoint but writes the
-// pre-framing raw group stream for peers that predate the framed codec.
-// Reads auto-detect either format, so a legacy endpoint can receive
-// from a framed peer. The clean-path bypass is off: every write pays
-// the full group encoding (benchmarks use this as the always-encode
-// baseline).
-func NewLegacyEndpoint(agent *tracker.Agent, conn *netsim.Conn) *Endpoint {
-	return &Endpoint{agent: agent, conn: conn, legacy: true}
-}
-
-// NewAdaptiveEndpoint wraps conn like NewEndpoint but negotiates the
-// DTF2 tiered stream format: writes are classified by the taint-density
-// tracker and travel as passthrough, uniform, sparse, or groups frames
-// (DESIGN.md §9). Both ends must be adaptive — the DTF2 magic is what
-// tells the peer the new tags may appear, so a plain NewEndpoint never
-// emits them and old decoders never see them. Reads auto-detect every
-// format, so an adaptive endpoint can receive from framed and legacy
-// peers alike.
-func NewAdaptiveEndpoint(agent *tracker.Agent, conn *netsim.Conn) *Endpoint {
-	return &Endpoint{agent: agent, conn: conn, adaptive: true}
 }
 
 // Conn exposes the wrapped connection (for close/addr operations).
@@ -78,19 +49,14 @@ func (e *Endpoint) Conn() *netsim.Conn { return e.conn }
 // Agent returns the endpoint's agent.
 func (e *Endpoint) Agent() *tracker.Agent { return e.agent }
 
-// registerRuns maps b's label runs to wire runs via the Taint Map
-// (Fig. 9 steps ①②): one batch registration covering every distinct
-// taint, one Run per label run — never per-byte work. A shadow-free b
-// returns nil (all untainted). The runs are appended to dst (pass a
-// scratch slice to keep a fragmented steady state allocation-free, or
-// nil when no scratch outlives the call).
+// registerRuns maps a tainted b's label runs to wire runs via the
+// Taint Map (Fig. 9 steps ①②): one batch registration covering every
+// distinct taint, one Run per label run — never per-byte work. Clean
+// buffers never get here: every caller routes them to passthrough
+// first. The runs are appended to dst (pass a scratch slice to keep a
+// fragmented steady state allocation-free, or nil when no scratch
+// outlives the call).
 func registerRuns(agent *tracker.Agent, b taint.Bytes, dst []wire.Run) ([]wire.Run, error) {
-	if !b.HasShadow() || b.Clean() {
-		// The epoch-memoized clean check keeps shadowed-but-untainted
-		// buffers off the Taint Map entirely: nil runs mean "all
-		// untainted" to every encoder.
-		return nil, nil
-	}
 	tm := agent.TaintMap()
 	if tm == nil {
 		return nil, ErrNoTaintMap
@@ -241,255 +207,70 @@ func trimRuns(runs []wire.Run, n int) []wire.Run {
 //   - off:      the original native — raw data only;
 //   - phosphor: the original native — the labels are *dropped* at the
 //     JNI boundary, exactly the limitation of §II-C;
-//   - dista:    each byte is serialized with the Global ID of its taint
-//     (Fig. 6 sender side).
+//   - dista:    the bytes travel with the Global IDs of their taints
+//     (Fig. 6 sender side), on the cheapest sound wire tier.
 func (e *Endpoint) Write(b taint.Bytes) error {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.agent.Mode() != tracker.ModeDista {
-		e.agent.AddTraffic(len(b.Data), len(b.Data))
-		return jni.SocketWrite0(e.conn, b.Data)
-	}
-	if e.legacy {
-		runs, err := e.registerRunsScratch(b)
-		if err != nil {
-			return err
-		}
-		raw := wire.EncodeRuns(nil, b.Data, runs)
-		e.agent.AddTraffic(len(b.Data), len(raw))
-		return jni.SocketWrite0(e.conn, raw)
-	}
-	if len(b.Data) == 0 {
-		// Nothing to frame; still touch the native so conn-level
-		// semantics (faults, delays) match the uninstrumented call.
-		return jni.SocketWrite0(e.conn, nil)
-	}
-	if b.Clean() {
-		if e.adaptive {
-			e.tier.observeClean(len(b.Data))
-		}
-		return e.writePassthroughLocked(b.Data)
-	}
-	if e.adaptive {
-		return e.writeAdaptiveLocked(b, jni.SocketWrite0)
-	}
-	runs, err := e.registerRunsScratch(b)
-	if err != nil {
-		return err
-	}
-	return e.writeGroupsLocked(b.Data, runs, jni.SocketWrite0)
-}
-
-// registerRunsScratch is registerRuns into the endpoint's persistent
-// run scratch: the caller must hold wmu and consume the runs before the
-// next write. A fragmented steady state re-registers into the same
-// array instead of growing a fresh one on every write.
-func (e *Endpoint) registerRunsScratch(b taint.Bytes) ([]wire.Run, error) {
-	runs, err := registerRuns(e.agent, b, e.wruns)
-	if runs != nil {
-		e.wruns = runs[:0]
-	}
-	return runs, err
-}
-
-// writeAdaptiveLocked emits one frame for a tainted buffer on whichever
-// tier the density tracker picks: uniform and sparse frames keep the
-// passthrough shape (metadata in the persistent scratch, payload
-// written zero-copy), groups fall back to the full encode. Caller holds
-// wmu and has ruled out the clean case.
-func (e *Endpoint) writeAdaptiveLocked(b taint.Bytes, write func(*netsim.Conn, []byte) error) error {
-	st, exact := b.Stats(tierScanLimit)
-	e.tier.observe(st, len(b.Data), exact)
-	switch e.tier.frameTier(st, len(b.Data), exact) {
-	case tierUniform:
-		id, err := registerOne(e.agent, st.One)
-		if err != nil {
-			return err
-		}
-		return e.writeUniformLocked(b.Data, id, write)
-	case tierSparse:
-		ranges, err := registerDirty(e.agent, b, e.dranges[:0])
-		if err != nil {
-			return err
-		}
-		e.dranges = ranges[:0]
-		return e.writeSparseLocked(b.Data, ranges, write)
-	default:
-		runs, err := e.registerRunsScratch(b)
-		if err != nil {
-			return err
-		}
-		return e.writeGroupsLocked(b.Data, runs, write)
-	}
-}
-
-// writePassthroughLocked emits one passthrough frame for data — the
-// clean-path send: no label encoding, no copy of the payload, zero
-// allocations once the header scratch has warmed up. Caller holds wmu
-// and has verified the bytes are untainted.
-func (e *Endpoint) writePassthroughLocked(data []byte) error {
-	hdr := e.frameHeaderLocked(wire.FramePassthrough, len(data))
-	e.agent.AddTraffic(len(data), len(hdr)+len(data))
-	if err := jni.SocketWrite0(e.conn, hdr); err != nil {
-		return err
-	}
-	return jni.SocketWrite0(e.conn, data)
-}
-
-// writeGroupsLocked emits one groups frame for data with its wire runs,
-// assembling it in a pooled buffer. write is the underlying native
-// (SocketWrite0 for Type 1, the dispatcher adapter for Type 3).
-func (e *Endpoint) writeGroupsLocked(data []byte, runs []wire.Run, write func(*netsim.Conn, []byte) error) error {
-	pre := 0
-	if !e.wroteMagic {
-		pre = wire.StreamMagicLen
-	}
-	buf := wire.GetBuf(pre + wire.GroupsFrameLen(len(data)) + wire.EncodeSlack)
-	out := *buf
-	if !e.wroteMagic {
-		out = e.appendMagic(out)
-	}
-	out = wire.AppendGroupsFrame(out, data, runs)
-	e.agent.AddTraffic(len(data), len(out))
-	err := write(e.conn, out)
-	*buf = out
-	wire.PutBuf(buf)
-	if err != nil {
-		return err
-	}
-	e.wroteMagic = true
-	return nil
-}
-
-// frameHeaderLocked assembles the stream magic (first framed write on
-// this conn only) plus one frame header in the endpoint's persistent
-// write scratch, marking the magic as sent.
-func (e *Endpoint) frameHeaderLocked(tag byte, n int) []byte {
-	hdr := e.wscratch[:0]
-	if !e.wroteMagic {
-		hdr = e.appendMagic(hdr)
-		e.wroteMagic = true
-	}
-	hdr = wire.AppendFrameHeader(hdr, tag, n)
-	e.wscratch = hdr[:0]
-	return hdr
-}
-
-// appendMagic appends the stream magic matching the endpoint's
-// negotiated format: DTF2 for adaptive endpoints, DTF1 otherwise. The
-// caller manages wroteMagic.
-func (e *Endpoint) appendMagic(dst []byte) []byte {
-	if e.adaptive {
-		return wire.AppendAdaptiveStreamMagic(dst)
-	}
-	return wire.AppendStreamMagic(dst)
-}
-
-// writeUniformLocked emits one uniform frame: header plus Global ID in
-// the persistent scratch, payload written zero-copy — the passthrough
-// cost shape plus four metadata bytes. Caller holds wmu.
-func (e *Endpoint) writeUniformLocked(data []byte, id uint32, write func(*netsim.Conn, []byte) error) error {
-	hdr := e.wscratch[:0]
-	if !e.wroteMagic {
-		hdr = e.appendMagic(hdr)
-		e.wroteMagic = true
-	}
-	hdr = wire.AppendUniformHeader(hdr, len(data), id)
-	e.wscratch = hdr[:0]
-	e.agent.AddTraffic(len(data), len(hdr)+len(data))
-	if err := write(e.conn, hdr); err != nil {
-		return err
-	}
-	return write(e.conn, data)
-}
-
-// writeSparseLocked emits one sparse frame: header plus range table in
-// the persistent scratch, payload written zero-copy. Caller holds wmu
-// and guarantees the ranges are sorted, non-overlapping and in-bounds
-// (they come from ForEachDirtyRun, which yields them that way).
-func (e *Endpoint) writeSparseLocked(data []byte, ranges []wire.DirtyRange, write func(*netsim.Conn, []byte) error) error {
-	hdr := e.wscratch[:0]
-	if !e.wroteMagic {
-		hdr = e.appendMagic(hdr)
-		e.wroteMagic = true
-	}
-	hdr = wire.AppendSparseHeader(hdr, len(data), ranges)
-	e.wscratch = hdr[:0]
-	e.agent.AddTraffic(len(data), len(hdr)+len(data))
-	if err := write(e.conn, hdr); err != nil {
-		return err
-	}
-	return write(e.conn, data)
+	return e.send(b, jni.SocketWrite0)
 }
 
 // WritePassthrough sends bytes that are untainted by construction —
 // protocol framing, handshakes, padding a wrapper itself built. In
-// dista mode it emits a passthrough frame (a legacy endpoint encodes
-// untainted groups instead); other modes write the bytes unchanged.
-// This is the sanctioned way to put a raw []byte on a tracked
-// connection: the shadowdrop analyzer allowlists passthrough helpers
-// by name because the bytes never had labels to drop.
+// dista mode it emits a passthrough frame; other modes write the bytes
+// unchanged. This is the sanctioned way to put a raw []byte on a
+// tracked connection: the shadowdrop analyzer allowlists passthrough
+// helpers by name because the bytes never had labels to drop.
 func (e *Endpoint) WritePassthrough(data []byte) error {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.agent.Mode() != tracker.ModeDista {
-		e.agent.AddTraffic(len(data), len(data))
-		return jni.SocketWrite0(e.conn, data)
-	}
-	if e.legacy {
-		raw := wire.EncodeRuns(nil, data, nil)
-		e.agent.AddTraffic(len(data), len(raw))
-		return jni.SocketWrite0(e.conn, raw)
-	}
-	if len(data) == 0 {
-		return jni.SocketWrite0(e.conn, nil)
-	}
-	if e.adaptive {
-		e.tier.observeClean(len(data))
-	}
-	return e.writePassthroughLocked(data)
+	return e.send(taint.WrapBytes(data), jni.SocketWrite0)
 }
 
 // WriteUniform sends bytes that all carry the same single taint — a
 // wrapper forwarding one labelled record it assembled itself. This is
 // the sanctioned way to put a raw []byte with a label on a tracked
 // connection (the fast-path analyzer allowlists uniform helpers by name
-// because the label rides alongside): an adaptive endpoint emits one
-// uniform frame with zero payload copies, a framed endpoint a groups
-// frame, a legacy endpoint the raw group stream. An empty t degrades to
-// WritePassthrough. Modes other than dista write the bytes unchanged.
+// because the label rides alongside). The record takes the tier the
+// connection's density tracker picks for a wholly single-labelled
+// buffer, uniform once the stream has settled there. An empty t
+// degrades to WritePassthrough. Modes other than dista write the bytes
+// unchanged.
 func (e *Endpoint) WriteUniform(data []byte, t taint.Taint) error {
-	if t.Empty() {
-		return e.WritePassthrough(data)
+	b := taint.WrapBytes(data)
+	b.SetRange(0, len(data), t)
+	return e.send(b, jni.SocketWrite0)
+}
+
+// WriteBuffer sends the [from,to) range of a direct buffer — the Type 3
+// send path (IOUtil.writeFromNativeBuffer -> dispatcher write0, Fig. 8).
+// It returns the number of data bytes consumed.
+func (e *Endpoint) WriteBuffer(src *jni.DirectBuffer, from, to int) (int, error) {
+	if err := src.CheckRange(from, to); err != nil {
+		return 0, err
 	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.agent.Mode() != tracker.ModeDista {
-		e.agent.AddTraffic(len(data), len(data))
-		return jni.SocketWrite0(e.conn, data)
+	if err := e.send(src.View(from, to), dispatcherWriteAll); err != nil {
+		return 0, err
 	}
-	if len(data) == 0 {
-		return jni.SocketWrite0(e.conn, nil)
-	}
-	id, err := registerOne(e.agent, t)
-	if err != nil {
-		return err
-	}
-	run := []wire.Run{{N: len(data), ID: id}}
-	if e.legacy {
-		raw := wire.EncodeRuns(nil, data, run)
-		e.agent.AddTraffic(len(data), len(raw))
-		return jni.SocketWrite0(e.conn, raw)
-	}
-	if !e.adaptive {
-		return e.writeGroupsLocked(data, run, jni.SocketWrite0)
-	}
-	st := taint.RunStats{DirtyBytes: len(data), DirtyRuns: 1, One: t}
-	e.tier.observe(st, len(data), true)
-	if e.tier.frameTier(st, len(data), true) > tierUniform {
-		return e.writeGroupsLocked(data, run, jni.SocketWrite0)
-	}
-	return e.writeUniformLocked(data, id, jni.SocketWrite0)
+	return to - from, nil
+}
+
+// send writes b through the frame writer over write, the underlying
+// native (SocketWrite0 for Type 1, the dispatcher adapter for Type 3).
+// A frame goes out as two native writes, the head and then the
+// uncopied payload: a stream transport concatenates them.
+func (e *Endpoint) send(b taint.Bytes, write func(*netsim.Conn, []byte) error) error {
+	return e.w.write(e.agent, b,
+		func(p []byte) error { return write(e.conn, p) },
+		func(head, body []byte) error {
+			if err := write(e.conn, head); err != nil || body == nil {
+				return err
+			}
+			return write(e.conn, body)
+		})
+}
+
+// dispatcherWriteAll adapts DispatcherWrite0 to the all-or-error shape
+// send expects.
+func dispatcherWriteAll(c *netsim.Conn, b []byte) error {
+	_, err := jni.DispatcherWrite0(c, b)
+	return err
 }
 
 // Read fills buf through the instrumented socketRead0 wrapper and
@@ -508,140 +289,7 @@ func (e *Endpoint) Read(buf *taint.Bytes) (int, error) {
 	if e.agent.Mode() != tracker.ModeDista {
 		return jni.SocketRead0(e.conn, buf.Data)
 	}
-
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	if err := e.fillDecoder(len(buf.Data)); err != nil {
-		return 0, err
-	}
-	n, runs := e.dec.NextRunsInto(buf.Data)
-	if wire.RunsAllUntainted(runs) {
-		// Clean delivery (passthrough frame or untainted groups): no
-		// Taint Map round-trip, and a shadow-free buf stays lazy —
-		// only stale labels need clearing.
-		if buf.HasShadow() {
-			buf.SetRange(0, n, taint.Taint{})
-		}
-		return n, nil
-	}
-	labels, err := resolveRuns(e.agent, runs)
-	if err != nil {
-		return 0, err
-	}
-	adoptRuns(buf, runs, labels)
-	return n, nil
-}
-
-// fillDecoder reads raw wire bytes until at least one decoded byte is
-// buffered (or an error occurs). The receive buffer is enlarged by the
-// group factor plus framing overhead, mirroring the paper's
-// receiver-side buffer enlargement, and persists across calls so the
-// steady-state read path does not allocate it anew.
-func (e *Endpoint) fillDecoder(want int) error {
-	if e.dec.Buffered() > 0 {
-		return nil
-	}
-	if e.readErr != nil {
-		return e.readErr
-	}
-	if need := wire.WireLen(want) + wire.StreamMagicLen + wire.FrameHeaderLen; cap(e.rbuf) < need {
-		e.rbuf = make([]byte, need)
-	}
-	raw := e.rbuf[:cap(e.rbuf)]
-	for e.dec.Buffered() == 0 {
-		n, err := jni.SocketRead0(e.conn, raw)
-		if n > 0 {
-			if ferr := e.dec.Feed(raw[:n]); ferr != nil {
-				e.readErr = ferr
-				return ferr
-			}
-		}
-		if err != nil {
-			if err == io.EOF && e.dec.PendingPartial() {
-				err = io.ErrUnexpectedEOF
-			}
-			e.readErr = err
-			if e.dec.Buffered() > 0 {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBuffer sends the [from,to) range of a direct buffer — the Type 3
-// send path (IOUtil.writeFromNativeBuffer -> dispatcher write0, Fig. 8).
-// It returns the number of data bytes consumed.
-func (e *Endpoint) WriteBuffer(src *jni.DirectBuffer, from, to int) (int, error) {
-	if err := src.CheckRange(from, to); err != nil {
-		return 0, err
-	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	n := to - from
-	if e.agent.Mode() != tracker.ModeDista {
-		e.agent.AddTraffic(n, n)
-		written, err := jni.DispatcherWrite0(e.conn, src.Data[from:to])
-		return written, err
-	}
-	if e.legacy {
-		runs, err := e.registerRunsScratch(src.View(from, to))
-		if err != nil {
-			return 0, err
-		}
-		raw := wire.EncodeRuns(nil, src.Data[from:to], runs)
-		e.agent.AddTraffic(n, len(raw))
-		if _, err := jni.DispatcherWrite0(e.conn, raw); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	if n == 0 {
-		_, err := jni.DispatcherWrite0(e.conn, nil)
-		return 0, err
-	}
-	if src.Clean(from, to) {
-		if e.adaptive {
-			e.tier.observeClean(n)
-		}
-		if err := e.writeBufferPassthroughLocked(src, from, to); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	if e.adaptive {
-		if err := e.writeAdaptiveLocked(src.View(from, to), dispatcherWriteAll); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	runs, err := e.registerRunsScratch(src.View(from, to))
-	if err != nil {
-		return 0, err
-	}
-	if err := e.writeGroupsLocked(src.Data[from:to], runs, dispatcherWriteAll); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// writeBufferPassthroughLocked is writePassthroughLocked over the
-// dispatcher native — the Type 3 clean-path send.
-func (e *Endpoint) writeBufferPassthroughLocked(src *jni.DirectBuffer, from, to int) error {
-	hdr := e.frameHeaderLocked(wire.FramePassthrough, to-from)
-	e.agent.AddTraffic(to-from, len(hdr)+to-from)
-	if err := dispatcherWriteAll(e.conn, hdr); err != nil {
-		return err
-	}
-	return dispatcherWriteAll(e.conn, src.Data[from:to])
-}
-
-// dispatcherWriteAll adapts DispatcherWrite0 to the all-or-error shape
-// writeGroupsLocked expects.
-func dispatcherWriteAll(c *netsim.Conn, b []byte) error {
-	_, err := jni.DispatcherWrite0(c, b)
-	return err
+	return e.r.read(e.agent, buf, e.recv)
 }
 
 // ReadBuffer fills the [from,to) range of a direct buffer — the Type 3
@@ -659,22 +307,9 @@ func (e *Endpoint) ReadBuffer(dst *jni.DirectBuffer, from, to int) (int, error) 
 		// buffer's stale shadow is left in place.
 		return jni.DispatcherRead0(e.conn, dst.Data[from:to])
 	}
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	if err := e.fillDecoder(to - from); err != nil {
-		return 0, err
-	}
-	n, runs := e.dec.NextRunsInto(dst.Data[from:to])
-	if wire.RunsAllUntainted(runs) {
-		// Clean delivery: clear any stale labels, skip the Taint Map.
-		dst.B.SetRange(from, from+n, taint.Taint{})
-		return n, nil
-	}
-	labels, err := resolveRuns(e.agent, runs)
-	if err != nil {
-		return 0, err
-	}
-	sub := dst.View(from, from+n)
-	adoptRuns(&sub, runs, labels)
-	return n, nil
+	sub := dst.View(from, to)
+	return e.r.read(e.agent, &sub, e.recv)
 }
+
+// recv is the raw socketRead0 the frame reader pulls wire bytes with.
+func (e *Endpoint) recv(p []byte) (int, error) { return jni.SocketRead0(e.conn, p) }

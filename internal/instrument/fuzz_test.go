@@ -9,9 +9,9 @@ import (
 	"dista/internal/core/tracker"
 )
 
-// FuzzTierTransition drives an adaptive endpoint pair through a
-// fuzzer-chosen density schedule and checks the one property the tier
-// machine must never lose: every byte arrives with exactly the labels
+// FuzzTierTransition drives an endpoint pair through a fuzzer-chosen
+// density schedule and checks the one property the tier machine must
+// never lose: every byte arrives with exactly the labels
 // it was sent with, no matter how the stream flaps between the
 // passthrough, uniform, sparse and groups encodings. Each pair of
 // input bytes is one message — the first picks the kind (clean,
@@ -103,7 +103,7 @@ func FuzzTierTransition(f *testing.F) {
 		total := len(wantTag)
 
 		ca, cb := r.net.Pipe()
-		sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+		sender, receiver := NewEndpoint(r.a, ca), NewEndpoint(r.b, cb)
 
 		got := taint.MakeBytes(total)
 		recvErr := make(chan error, 1)

@@ -269,30 +269,75 @@ func TestFigure9Protocol(t *testing.T) {
 	}
 }
 
+// TestStreamWireOverheadFactor prices a 1000-byte write per taint
+// shape: the exact wire bytes of §V-F's 5x group factor for fragmented
+// taint, and of one uniform frame for uniform taint once the
+// connection's density tracker has settled.
 func TestStreamWireOverheadFactor(t *testing.T) {
-	r := newRig(t, tracker.ModeDista)
-	sender, receiver := r.endpoints(t)
-	go func() {
-		buf := taint.MakeBytes(1000)
-		for {
-			if _, err := receiver.Read(&buf); err != nil {
-				return
+	const n = 1000
+	for _, tc := range []struct {
+		name   string
+		mk     func(a *tracker.Agent) taint.Bytes
+		warmup int // writes before the measured one
+		want   int64
+	}{
+		{
+			// Two labels alternating byte by byte: only the group codec
+			// carries it, so the first write pays the full 5x plus the
+			// one-time stream magic and a constant frame header.
+			name: "fragmented",
+			mk: func(a *tracker.Agent) taint.Bytes {
+				p := taint.MakeBytes(n)
+				t1, t2 := a.Source("s", "t1"), a.Source("s", "t2")
+				for i := 0; i < n; i++ {
+					if i%2 == 0 {
+						p.SetLabel(i, t1)
+					} else {
+						p.SetLabel(i, t2)
+					}
+				}
+				return p
+			},
+			want: int64(wire.StreamMagicLen + wire.GroupsFrameLen(n)),
+		},
+		{
+			// One label over the whole payload: one Global ID per frame.
+			name: "uniform",
+			mk: func(a *tracker.Agent) taint.Bytes {
+				return taint.FromString(string(make([]byte, n)), a.Source("s", "t"))
+			},
+			warmup: 24,
+			want:   int64(wire.UniformFrameLen(n)),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, tracker.ModeDista)
+			sender, receiver := r.endpoints(t)
+			go func() {
+				buf := taint.MakeBytes(n)
+				for {
+					if _, err := receiver.Read(&buf); err != nil {
+						return
+					}
+				}
+			}()
+			payload := tc.mk(r.a)
+			for i := 0; i < tc.warmup; i++ {
+				if err := sender.Write(payload); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}()
-	payload := taint.FromString(string(make([]byte, 1000)), r.a.Source("s", "t"))
-	if err := sender.Write(payload); err != nil {
-		t.Fatal(err)
+			data0, wire0 := r.a.Traffic()
+			if err := sender.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			data, wireBytes := r.a.Traffic()
+			if data-data0 != n || wireBytes-wire0 != tc.want {
+				t.Fatalf("traffic = %d/%d, want %d wire bytes", data-data0, wireBytes-wire0, tc.want)
+			}
+			sender.Conn().Close()
+		})
 	}
-	data, wireBytes := r.a.Traffic()
-	// A tainted payload still pays the full 5x group factor of §V-F;
-	// the framed codec adds only the one-time stream magic and a
-	// constant header per write.
-	want := int64(wire.StreamMagicLen + wire.GroupsFrameLen(1000))
-	if data != 1000 || wireBytes != want {
-		t.Fatalf("traffic = %d/%d, want %d wire bytes (5x groups + framing)", data, wireBytes, want)
-	}
-	sender.Conn().Close()
 }
 
 func TestStreamFragmentedDelivery(t *testing.T) {

@@ -15,74 +15,51 @@ import (
 // code (§III-C). The receiver allocates an enlarged buffer, receives the
 // full encoded packet, and splits it back into data and taints.
 
-// PacketSend transmits one datagram payload with its labels.
+// PacketSend transmits one datagram payload with its labels. Datagrams
+// carry no stream state, so there is no density tracker to consult:
+// each packet independently takes the cheapest sound form — passthrough
+// when clean, uniform when wholly single-labelled, sparse when the
+// dirty runs fit a range table, full groups otherwise. Packet magics
+// are self-describing, so the receiver decodes every form (and the
+// group-only packets of older senders) unconditionally.
 func PacketSend(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, dst string) error {
 	if agent.Mode() != tracker.ModeDista {
 		agent.AddTraffic(len(data.Data), len(data.Data))
 		return jni.DatagramSend(sock, data.Data, dst)
 	}
-	if data.Clean() {
-		// Clean-path datagram: the passthrough flavour costs the
-		// packet header instead of 5x the payload.
-		raw := wire.EncodePacketPassthrough(data.Data)
-		agent.AddTraffic(len(data.Data), len(raw))
-		return jni.DatagramSend(sock, raw, dst)
-	}
-	runs, err := registerRuns(agent, data, nil)
+	raw, err := encodePacket(agent, data)
 	if err != nil {
 		return err
 	}
-	raw := wire.EncodePacketRuns(data.Data, runs)
 	agent.AddTraffic(len(data.Data), len(raw))
 	return jni.DatagramSend(sock, raw, dst)
 }
 
-// PacketSendAdaptive transmits one datagram payload with its labels,
-// opting into the tiered per-datagram encodings. Datagrams carry no
-// stream state, so there is no density tracker to consult: each packet
-// independently takes the cheapest sound form — passthrough when clean,
-// uniform when wholly single-labelled, sparse when the dirty runs fit a
-// range table, full groups otherwise. The receiver decodes every form
-// unconditionally (packet magics are self-describing), so the only
-// compatibility requirement is that the peer runs a decoder that knows
-// the uniform/sparse magics; pre-tiering peers must be sent PacketSend
-// traffic instead.
-func PacketSendAdaptive(agent *tracker.Agent, sock *netsim.UDPSocket, data taint.Bytes, dst string) error {
-	if agent.Mode() != tracker.ModeDista {
-		agent.AddTraffic(len(data.Data), len(data.Data))
-		return jni.DatagramSend(sock, data.Data, dst)
-	}
+// encodePacket builds the cheapest sound datagram encoding of data.
+func encodePacket(agent *tracker.Agent, data taint.Bytes) ([]byte, error) {
 	if data.Clean() {
-		raw := wire.EncodePacketPassthrough(data.Data)
-		agent.AddTraffic(len(data.Data), len(raw))
-		return jni.DatagramSend(sock, raw, dst)
+		return wire.EncodePacketPassthrough(data.Data), nil
 	}
 	st, exact := data.Stats(tierScanLimit)
-	if exact && st.Uniform(len(data.Data)) {
+	switch minTier(st, len(data.Data), exact) {
+	case tierUniform:
 		id, err := registerOne(agent, st.One)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		raw := wire.EncodePacketUniform(data.Data, id)
-		agent.AddTraffic(len(data.Data), len(raw))
-		return jni.DatagramSend(sock, raw, dst)
-	}
-	if exact && st.DirtyRuns <= sparseMaxRanges {
+		return wire.EncodePacketUniform(data.Data, id), nil
+	case tierSparse:
 		ranges, err := registerDirty(agent, data, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		raw := wire.EncodePacketSparse(data.Data, ranges)
-		agent.AddTraffic(len(data.Data), len(raw))
-		return jni.DatagramSend(sock, raw, dst)
+		return wire.EncodePacketSparse(data.Data, ranges), nil
 	}
 	runs, err := registerRuns(agent, data, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	raw := wire.EncodePacketRuns(data.Data, runs)
-	agent.AddTraffic(len(data.Data), len(raw))
-	return jni.DatagramSend(sock, raw, dst)
+	return wire.EncodePacketRuns(data.Data, runs), nil
 }
 
 // PacketPeek inspects the next datagram without consuming it — the

@@ -2,7 +2,7 @@ package instrument
 
 import "dista/internal/core/taint"
 
-// Taint-density tiering (DESIGN.md §9): an adaptive endpoint classifies
+// Taint-density tiering (DESIGN.md §9): every endpoint classifies
 // each outgoing buffer into the cheapest wire tier that can carry its
 // labels soundly, steered by a per-connection density tracker so the
 // stream settles on the tier matching the taint pattern the flow
@@ -156,22 +156,23 @@ func (d *densityTracker) classify() int {
 }
 
 // frameTier picks the tier for one buffer: the maximum of the tracked
-// stream tier and the buffer's sound minimum. The sound minimum is the
-// cheapest tier that carries every label — uniform only for a wholly
-// single-labelled buffer, sparse only when the exact dirty-run count
-// fits a range table, groups otherwise. A clean buffer is the caller's
-// responsibility (it goes passthrough before tiering is consulted).
+// stream tier and the buffer's sound minimum.
 func (d *densityTracker) frameTier(st taint.RunStats, n int, exact bool) int {
-	min := tierGroups
-	if exact {
-		if st.Uniform(n) {
-			min = tierUniform
-		} else if st.DirtyRuns <= sparseMaxRanges {
-			min = tierSparse
-		}
+	return max(d.tier, minTier(st, n, exact))
+}
+
+// minTier is a tainted buffer's sound minimum: the cheapest tier that
+// carries every label — uniform only for a wholly single-labelled
+// buffer, sparse only when the exact dirty-run count fits a range
+// table, groups otherwise. A clean buffer is the caller's
+// responsibility (it goes passthrough before tiering is consulted).
+// Datagrams, which have no stream to track, always take this tier.
+func minTier(st taint.RunStats, n int, exact bool) int {
+	switch {
+	case exact && st.Uniform(n):
+		return tierUniform
+	case exact && st.DirtyRuns <= sparseMaxRanges:
+		return tierSparse
 	}
-	if d.tier > min {
-		return d.tier
-	}
-	return min
+	return tierGroups
 }

@@ -166,7 +166,7 @@ func parseFrames(t *testing.T, raw, magic []byte) []rawFrame {
 func TestAdaptiveWireTags(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	ca, cb := r.net.Pipe()
-	sender := NewAdaptiveEndpoint(r.a, ca)
+	sender := NewEndpoint(r.a, ca)
 
 	const n = 256
 	tu := r.a.Source("s", "uni")
@@ -235,49 +235,13 @@ func TestAdaptiveWireTags(t *testing.T) {
 	}
 }
 
-// TestNonAdaptiveNeverEmitsTieredTags proves the compatibility gate: a
-// plain framed endpoint keeps the DTF1 magic and the PR 5 tag set even
-// for buffers the tiers were built for, so an old decoder on the other
-// end never meets a tag it does not know.
-func TestNonAdaptiveNeverEmitsTieredTags(t *testing.T) {
-	r := newRig(t, tracker.ModeDista)
-	ca, cb := r.net.Pipe()
-	sender := NewEndpoint(r.a, ca)
-
-	const n = 128
-	tu := r.a.Source("s", "compat")
-	uniform := taint.MakeBytes(n)
-	uniform.SetRange(0, n, tu)
-
-	done := make(chan []byte, 1)
-	go func() { done <- readAllRaw(t, cb) }()
-	for i := 0; i < 16; i++ {
-		if err := sender.Write(uniform); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if err := sender.Write(taint.MakeBytes(n)); err != nil {
-			t.Fatalf("clean write: %v", err)
-		}
-	}
-	if err := sender.WriteUniform([]byte("framed-record"), tu); err != nil {
-		t.Fatalf("WriteUniform: %v", err)
-	}
-	ca.Close()
-
-	for i, f := range parseFrames(t, <-done, wire.AppendStreamMagic(nil)) {
-		if f.tag != wire.FramePassthrough && f.tag != wire.FrameGroups {
-			t.Fatalf("frame %d: non-negotiated sender emitted tag %q", i, f.tag)
-		}
-	}
-}
-
 // TestAdaptiveEndToEndMixed drives one adaptive connection through
 // clean, uniform, sparse and dense phases and verifies every delivered
 // byte carries exactly the label it was sent with.
 func TestAdaptiveEndToEndMixed(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	ca, cb := r.net.Pipe()
-	sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+	sender, receiver := NewEndpoint(r.a, ca), NewEndpoint(r.b, cb)
 
 	const msgLen = 64
 	const rounds = 48
@@ -377,90 +341,131 @@ func TestAdaptiveEndToEndMixed(t *testing.T) {
 	}
 }
 
-// TestAdaptiveReceivesFromOlderPeers: an adaptive endpoint must decode
-// the PR 5 framed format and the legacy raw group stream unchanged.
+// olderPeerStream is the wire image a pre-DTF2 sender produced for
+// msgs, written here byte for byte so the liberal decoder stays tested
+// after its writers are gone. format "framed" is the DTF1 stream
+// (groups frames for labelled messages, passthrough frames for clean
+// ones); "legacy" is the raw group stream with no magic. ids[i] is the
+// Global ID every byte of msgs[i] carries, 0 for a clean message.
+func olderPeerStream(format string, msgs [][]byte, ids []uint32) []byte {
+	var raw []byte
+	if format == "framed" {
+		raw = wire.AppendStreamMagic(raw)
+	}
+	for i, m := range msgs {
+		var runs []wire.Run
+		if ids[i] != 0 {
+			runs = []wire.Run{{N: len(m), ID: ids[i]}}
+		}
+		switch {
+		case format == "legacy":
+			raw = wire.EncodeRuns(raw, m, runs)
+		case ids[i] == 0:
+			raw = wire.AppendPassthroughFrame(raw, m)
+		default:
+			raw = wire.AppendGroupsFrame(raw, m, runs)
+		}
+	}
+	return raw
+}
+
+// globalID registers t with the agent's Taint Map, as an older sender
+// would have before putting its id on the wire.
+func globalID(t *testing.T, a *tracker.Agent, tt taint.Taint) uint32 {
+	t.Helper()
+	ids, err := a.TaintMap().RegisterBatch([]taint.Taint{tt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0]
+}
+
+// readFull reads exactly total data bytes from ep.
+func readFull(t *testing.T, ep *Endpoint, total int) taint.Bytes {
+	t.Helper()
+	got := taint.MakeBytes(total)
+	for pos := 0; pos < total; {
+		sub := got.Slice(pos, total)
+		n, err := ep.Read(&sub)
+		if err != nil {
+			t.Fatalf("read at %d/%d: %v", pos, total, err)
+		}
+		pos += n
+	}
+	return got
+}
+
+// TestAdaptiveReceivesFromOlderPeers: the endpoint must decode the DTF1
+// framed format and the legacy raw group stream unchanged.
 func TestAdaptiveReceivesFromOlderPeers(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(*tracker.Agent, *netsim.Conn) *Endpoint
-	}{
-		{"framed", NewEndpoint},
-		{"legacy", NewLegacyEndpoint},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, format := range []string{"framed", "legacy"} {
+		t.Run(format, func(t *testing.T) {
 			r := newRig(t, tracker.ModeDista)
 			ca, cb := r.net.Pipe()
-			sender, receiver := tc.mk(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
-			msg := taint.FromString("cross-version", r.a.Source("s", "old"))
-			if err := sender.Write(msg); err != nil {
+			id := globalID(t, r.a, r.a.Source("s", "old"))
+			raw := olderPeerStream(format,
+				[][]byte{[]byte("cross-version"), []byte("+clean")}, []uint32{id, 0})
+			if err := jni.SocketWrite0(ca, raw); err != nil {
 				t.Fatal(err)
 			}
-			buf := taint.MakeBytes(msg.Len())
-			for pos := 0; pos < msg.Len(); {
-				sub := buf.Slice(pos, msg.Len())
-				n, err := receiver.Read(&sub)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pos += n
-			}
-			if string(buf.Data) != "cross-version" {
+			buf := readFull(t, NewEndpoint(r.b, cb), len("cross-version+clean"))
+			if string(buf.Data) != "cross-version+clean" {
 				t.Fatalf("got %q", buf.Data)
 			}
 			for i := range buf.Data {
-				if !buf.LabelAt(i).Has("old") {
-					t.Fatalf("byte %d lost taint across versions", i)
+				if tainted := i < len("cross-version"); tainted != buf.LabelAt(i).Has("old") {
+					t.Fatalf("byte %d: labels %v, want tainted=%v", i, buf.LabelAt(i).Values(), tainted)
 				}
 			}
 		})
 	}
 }
 
-// TestWriteUniformDelivers checks the WriteUniform fast-path API across
-// endpoint flavours: the label rides whatever encoding the connection
-// negotiated, and an empty taint degrades to the passthrough path.
+// TestWriteUniformDelivers checks the WriteUniform fast-path API: the
+// label rides whatever tier the connection settled on, and an empty
+// taint degrades to the passthrough path. The framed and legacy cases
+// feed the same receiver the records an older sender's WriteUniform
+// put on the wire.
 func TestWriteUniformDelivers(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(*tracker.Agent, *netsim.Conn) *Endpoint
-	}{
-		{"adaptive", NewAdaptiveEndpoint},
-		{"framed", NewEndpoint},
-		{"legacy", NewLegacyEndpoint},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	const rounds = 12 // enough for the sender to settle on 'U'
+	payload := []byte("record-payload")
+	for _, format := range []string{"adaptive", "framed", "legacy"} {
+		t.Run(format, func(t *testing.T) {
 			r := newRig(t, tracker.ModeDista)
 			ca, cb := r.net.Pipe()
-			sender, receiver := tc.mk(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
 			tt := r.a.Source("s", "rec")
-			const rounds = 12 // enough for an adaptive sender to settle on 'U'
-			payload := []byte("record-payload")
-			for i := 0; i < rounds; i++ {
-				if err := sender.WriteUniform(payload, tt); err != nil {
+			if format == "adaptive" {
+				sender := NewEndpoint(r.a, ca)
+				for i := 0; i < rounds; i++ {
+					if err := sender.WriteUniform(payload, tt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sender.WriteUniform([]byte("trailer"), taint.Taint{}); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := sender.WriteUniform([]byte("trailer"), taint.Taint{}); err != nil {
-				t.Fatal(err)
+			} else {
+				id := globalID(t, r.a, tt)
+				var msgs [][]byte
+				var ids []uint32
+				for i := 0; i < rounds; i++ {
+					msgs, ids = append(msgs, payload), append(ids, id)
+				}
+				msgs, ids = append(msgs, []byte("trailer")), append(ids, 0)
+				if err := jni.SocketWrite0(ca, olderPeerStream(format, msgs, ids)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			total := rounds*len(payload) + len("trailer")
-			got := taint.MakeBytes(total)
-			for pos := 0; pos < total; {
-				sub := got.Slice(pos, total)
-				n, err := receiver.Read(&sub)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pos += n
-			}
+			got := readFull(t, NewEndpoint(r.b, cb), total)
 			for i := 0; i < rounds*len(payload); i++ {
 				if !got.LabelAt(i).Has("rec") {
-					t.Fatalf("%s: byte %d lost the record label", tc.name, i)
+					t.Fatalf("%s: byte %d lost the record label", format, i)
 				}
 			}
 			for i := rounds * len(payload); i < total; i++ {
 				if !got.LabelAt(i).Empty() {
-					t.Fatalf("%s: trailer byte %d grew taint", tc.name, i)
+					t.Fatalf("%s: trailer byte %d grew taint", format, i)
 				}
 			}
 		})
@@ -473,7 +478,7 @@ func TestWriteUniformDelivers(t *testing.T) {
 func TestWritevAdaptiveUniformCoalescing(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	ca, cb := r.net.Pipe()
-	sender := NewAdaptiveEndpoint(r.a, ca)
+	sender := NewEndpoint(r.a, ca)
 
 	done := make(chan []byte, 1)
 	go func() { done <- readAllRaw(t, cb) }()
@@ -530,7 +535,7 @@ func TestWritevAdaptiveUniformCoalescing(t *testing.T) {
 func TestWritevAdaptiveLabelsDeliver(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	ca, cb := r.net.Pipe()
-	sender, receiver := NewAdaptiveEndpoint(r.a, ca), NewAdaptiveEndpoint(r.b, cb)
+	sender, receiver := NewEndpoint(r.a, ca), NewEndpoint(r.b, cb)
 
 	tt := r.a.Source("s", "gather")
 	mk := func(fillByte byte, n int, lbl taint.Taint) *jni.DirectBuffer {
@@ -567,9 +572,9 @@ func TestWritevAdaptiveLabelsDeliver(t *testing.T) {
 	}
 }
 
-// TestPacketSendAdaptiveForms drives every per-datagram tier through
-// the UDP wrappers and checks the received labels and wire sizes.
-func TestPacketSendAdaptiveForms(t *testing.T) {
+// TestPacketSendTierForms drives every per-datagram tier through the
+// UDP wrappers and checks the received labels and wire sizes.
+func TestPacketSendTierForms(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	sa, _ := r.net.ListenPacket("a:1")
 	sb, _ := r.net.ListenPacket("b:1")
@@ -578,7 +583,7 @@ func TestPacketSendAdaptiveForms(t *testing.T) {
 
 	check := func(name string, payload taint.Bytes, wantDirty func(int) bool, maxWire int) {
 		t.Helper()
-		if err := PacketSendAdaptive(r.a, sa, payload, "b:1"); err != nil {
+		if err := PacketSend(r.a, sa, payload, "b:1"); err != nil {
 			t.Fatalf("%s: send: %v", name, err)
 		}
 		raw := make([]byte, wire.PacketOverhead+wire.WireLen(n))

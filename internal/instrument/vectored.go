@@ -8,28 +8,28 @@ import (
 
 // Vectored Type 3 wrappers: the writev0/readv0 dispatcher natives used
 // by NIO gathering writes and scattering reads. The dista wrapper
-// encodes each source buffer into its own group run and hands the runs
-// to the vectored native, preserving the original call shape.
+// frames the source buffers on the stream's tiers and hands the frame
+// heads and payloads to the vectored native as one gathering write,
+// preserving the original call shape.
 
 // WritevBuffers performs a gathering write of the [0,lens[i]) prefix of
 // each direct buffer, returning the total data bytes consumed.
 //
-// On the framed path adjacent clean sources coalesce into a single
-// passthrough frame whose payload entries are the raw buffer slices —
-// one 5-byte header for the whole stretch and zero copies — while
-// tainted sources each travel as their own groups frame. An adaptive
-// endpoint additionally coalesces adjacent sources that carry the same
-// single label into one uniform frame (one header plus one Global ID
-// for the stretch, payloads still uncopied); tainted sources too
-// fragmented for the uniform tier fall back to groups frames — the
-// vectored path never emits sparse frames, since per-source tables
-// would cost more than the per-source groups frame they replace.
+// Adjacent clean sources coalesce into a single passthrough frame whose
+// payload entries are the raw buffer slices — one 5-byte header for the
+// whole stretch and zero copies — and adjacent sources that carry the
+// same single label on the uniform tier coalesce into one uniform frame
+// (one header plus one Global ID for the stretch, payloads still
+// uncopied). Tainted sources the density tracker does not put on the
+// uniform tier each travel as their own groups frame — the vectored
+// path never emits sparse frames, since per-source tables would cost
+// more than the per-source groups frame they replace.
 func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, error) {
 	if len(srcs) != len(lens) {
 		panic("instrument: srcs/lens length mismatch")
 	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
+	e.w.mu.Lock()
+	defer e.w.mu.Unlock()
 
 	if e.agent.Mode() != tracker.ModeDista {
 		raw := make([][]byte, len(srcs))
@@ -45,39 +45,15 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 		return jni.DispatcherWritev0(e.conn, raw)
 	}
 
-	if e.legacy {
-		encoded := make([][]byte, len(srcs))
-		total := 0
-		for i, src := range srcs {
-			if err := src.CheckRange(0, lens[i]); err != nil {
-				return 0, err
-			}
-			runs, err := e.registerRunsScratch(src.View(0, lens[i]))
-			if err != nil {
-				return 0, err
-			}
-			encoded[i] = wire.EncodeRuns(nil, src.Data[:lens[i]], runs)
-			total += lens[i]
-			e.agent.AddTraffic(lens[i], len(encoded[i]))
-		}
-		if _, err := jni.DispatcherWritev0(e.conn, encoded); err != nil {
-			return 0, err
-		}
-		return int64(total), nil
-	}
-
 	// Pass 1: classify sources, register tainted runs, and size the
 	// shared scratch exactly so pass 2 can alias into it without any
 	// append ever reallocating (which would invalidate earlier vector
 	// entries).
 	clean := make([]bool, len(srcs))
 	runsOf := make([][]wire.Run, len(srcs))
-	var uids []uint32 // adaptive: uniform-frame Global ID per source (0 = not uniform)
-	if e.adaptive {
-		uids = make([]uint32, len(srcs))
-	}
+	uids := make([]uint32, len(srcs)) // uniform-frame Global ID per source (0 = not uniform)
 	scratchLen := 0
-	if !e.wroteMagic {
+	if !e.w.wroteMagic {
 		scratchLen += wire.StreamMagicLen
 	}
 	total, wireBytes := 0, 0
@@ -88,28 +64,24 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 		total += lens[i]
 		if src.Clean(0, lens[i]) {
 			clean[i] = true
-			if e.adaptive {
-				e.tier.observeClean(lens[i])
-			}
+			e.w.tier.observeClean(lens[i])
 			if i == 0 || !clean[i-1] {
 				scratchLen += wire.FrameHeaderLen
 			}
 			continue
 		}
-		if e.adaptive {
-			st, exact := src.View(0, lens[i]).Stats(tierScanLimit)
-			e.tier.observe(st, lens[i], exact)
-			if e.tier.frameTier(st, lens[i], exact) == tierUniform {
-				id, err := registerOne(e.agent, st.One)
-				if err != nil {
-					return 0, err
-				}
-				uids[i] = id
-				if i == 0 || uids[i-1] != id {
-					scratchLen += wire.FrameHeaderLen + wire.GlobalIDLen
-				}
-				continue
+		st, exact := src.View(0, lens[i]).Stats(tierScanLimit)
+		e.w.tier.observe(st, lens[i], exact)
+		if e.w.tier.frameTier(st, lens[i], exact) == tierUniform {
+			id, err := registerOne(e.agent, st.One)
+			if err != nil {
+				return 0, err
 			}
+			uids[i] = id
+			if i == 0 || uids[i-1] != id {
+				scratchLen += wire.FrameHeaderLen + wire.GlobalIDLen
+			}
+			continue
 		}
 		// No scratch here: every source's runs stay live until pass 2.
 		runs, err := registerRuns(e.agent, src.View(0, lens[i]), nil)
@@ -127,9 +99,10 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 	vec := make([][]byte, 0, 2*len(srcs))
 	for i := 0; i < len(srcs); {
 		mark := len(out)
-		if !e.wroteMagic && mark == 0 {
-			// The magic rides in the first frame's header slice.
-			out = e.appendMagic(out)
+		if mark == 0 {
+			// The magic, if still owed, rides in the first frame's
+			// header slice.
+			out = e.w.magic(out)
 		}
 		if clean[i] {
 			j, n := i, 0
@@ -146,7 +119,7 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 			i = j
 			continue
 		}
-		if uids != nil && uids[i] != 0 {
+		if uids[i] != 0 {
 			j, n := i, 0
 			for j < len(srcs) && uids[j] == uids[i] {
 				n += lens[j]
@@ -172,9 +145,6 @@ func (e *Endpoint) WritevBuffers(srcs []*jni.DirectBuffer, lens []int) (int64, e
 	wire.PutBuf(buf)
 	if err != nil {
 		return 0, err
-	}
-	if len(vec) > 0 {
-		e.wroteMagic = true
 	}
 	return int64(total), nil
 }
@@ -215,17 +185,9 @@ func (e *Endpoint) ReadvBuffers(dsts []*jni.DirectBuffer, lens []int) (int64, er
 		}
 		// Single-read semantics: continue into the next buffer only with
 		// data already decoded; never block for a second wire read.
-		if i+1 < len(dsts) && e.bufferedData() == 0 {
+		if i+1 < len(dsts) && e.r.buffered() == 0 {
 			break
 		}
 	}
 	return total, nil
-}
-
-// bufferedData reports how many decoded bytes are ready without
-// blocking.
-func (e *Endpoint) bufferedData() int {
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	return e.dec.Buffered()
 }

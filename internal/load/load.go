@@ -77,10 +77,6 @@ type Config struct {
 	Mix   Mix     // taint-shape split (default 70/10/10/10)
 	Paths PathMix // transport split (default 60/20/20)
 
-	// Adaptive selects the density-tiering endpoints instead of the
-	// static framed codec.
-	Adaptive bool
-
 	// ClusterMembers > 0 stands up a live simulated taintmap cluster of
 	// that many members (replication factor 2 when possible) and routes
 	// every agent's registrations and lookups through it. Zero shares
@@ -440,11 +436,7 @@ func Run(cfg Config) (Report, error) {
 				return Report{}, fmt.Errorf("load: session %d: %w", i, err)
 			}
 			s.conn = conn
-			if cfg.Adaptive {
-				s.ep = instrument.NewAdaptiveEndpoint(s.agent, conn)
-			} else {
-				s.ep = instrument.NewEndpoint(s.agent, conn)
-			}
+			s.ep = instrument.NewEndpoint(s.agent, conn)
 			if s.path == PathVectored {
 				s.initVectored()
 			}
@@ -553,14 +545,8 @@ func (e *engine) writeOp(s *session) error {
 	s.got = 0
 	switch s.path {
 	case PathDatagram:
-		if e.cfg.Adaptive {
-			if err := instrument.PacketSendAdaptive(s.agent, s.sock, s.payload, s.dst); err != nil {
-				return err
-			}
-		} else {
-			if err := instrument.PacketSend(s.agent, s.sock, s.payload, s.dst); err != nil {
-				return err
-			}
+		if err := instrument.PacketSend(s.agent, s.sock, s.payload, s.dst); err != nil {
+			return err
 		}
 	case PathVectored:
 		if _, err := s.ep.WritevBuffers(s.vsrc, s.vlen); err != nil {

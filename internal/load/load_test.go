@@ -32,14 +32,20 @@ func TestRunSmall(t *testing.T) {
 	}
 }
 
-// TestRunAdaptive runs the same shape over the tiering endpoints.
+// TestRunAdaptive runs an all-tainted mix, so every session's payload
+// rides one of the density tiers above passthrough (uniform, sparse or
+// groups) on every transport, and must still echo back label-intact.
 func TestRunAdaptive(t *testing.T) {
-	r, err := Run(Config{Conns: 100, Ops: 3, Payload: 1024, Adaptive: true})
+	r, err := Run(Config{Conns: 100, Ops: 3, Payload: 1024,
+		Mix: Mix{Uniform: 34, Sparse: 33, Dense: 33}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Ops != 100*3 {
 		t.Fatalf("ops = %d, want %d", r.Ops, 100*3)
+	}
+	if r.TaintBytes == 0 {
+		t.Fatal("an all-tainted mix carried no tainted bytes")
 	}
 }
 

@@ -43,6 +43,10 @@ type Harness struct {
 	Node2 *jre.Env
 	Size  int // payload bytes for Data1 (Data2 matches)
 
+	// fragmented labels only every other payload byte instead of the
+	// whole payload: the shape no wire tier below groups can carry.
+	fragmented bool
+
 	addrSeq int
 }
 
@@ -90,7 +94,14 @@ func (h *Harness) payload(env *jre.Env, desc, tag string, size int, fill byte) t
 		raw[i] = fill
 	}
 	b := taint.WrapBytes(raw)
-	if t := env.Agent.Source(desc, tag); !t.Empty() {
+	t := env.Agent.Source(desc, tag)
+	switch {
+	case t.Empty():
+	case h.fragmented:
+		for i := 0; i < size; i += 2 {
+			b.SetLabel(i, t)
+		}
+	default:
 		b.TaintAll(t)
 	}
 	return b
@@ -164,6 +175,17 @@ func (h *Harness) tcpExchange(server func(*jre.Socket) error, client func(*jre.S
 // RunCase executes one case on a fresh harness and returns it for
 // inspection.
 func RunCase(c Case, mode tracker.Mode, size int) (*Harness, error) {
+	return runCase(c, mode, size, false)
+}
+
+// RunCaseFragmented is RunCase with every other payload byte tainted
+// instead of the whole payload: the fragmented shape only the group
+// codec carries, which prices the full 5x factor of §V-F.
+func RunCaseFragmented(c Case, mode tracker.Mode, size int) (*Harness, error) {
+	return runCase(c, mode, size, true)
+}
+
+func runCase(c Case, mode tracker.Mode, size int, fragmented bool) (*Harness, error) {
 	if c.SizeDiv > 1 {
 		size /= c.SizeDiv
 		if size == 0 {
@@ -171,6 +193,7 @@ func RunCase(c Case, mode tracker.Mode, size int) (*Harness, error) {
 		}
 	}
 	h := NewHarness(mode, size)
+	h.fragmented = fragmented
 	if err := c.Run(h); err != nil {
 		return nil, fmt.Errorf("case %d (%s / %s): %w", c.ID, c.Group, c.Name, err)
 	}

@@ -122,25 +122,43 @@ func TestAllCasesOffMode(t *testing.T) {
 	}
 }
 
-// TestWireOverheadFactor is experiment E7 on a stream case: the dista
-// wire volume is 5x the payload volume.
+// TestWireOverheadFactor is experiment E7 on a stream case, once per
+// taint shape: fragmented taint pays the full 5x group factor, uniform
+// taint (the paper's Table II payload) rides the uniform tier at the
+// payload size plus per-frame metadata.
 func TestWireOverheadFactor(t *testing.T) {
 	c, _ := CaseByID(1)
-	h, err := RunCase(c, tracker.ModeDista, testSize)
+	factor := func(h *Harness) float64 {
+		t.Helper()
+		data1, wire1 := h.Node1.Agent.Traffic()
+		data2, wire2 := h.Node2.Agent.Traffic()
+		if data1+data2 == 0 {
+			t.Fatal("no traffic recorded")
+		}
+		return float64(wire1+wire2) / float64(data1+data2)
+	}
+
+	// Every other byte tainted: only the group codec carries it, so the
+	// traffic pays exactly the 5x factor of §V-F plus the stream magic
+	// per connection and one 5-byte header per write.
+	h, err := RunCaseFragmented(c, tracker.ModeDista, testSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data1, wire1 := h.Node1.Agent.Traffic()
-	data2, wire2 := h.Node2.Agent.Traffic()
-	data, wireBytes := data1+data2, wire1+wire2
-	if data == 0 {
-		t.Fatal("no traffic recorded")
+	if got := h.SinkTags(); len(got) != 2 {
+		t.Fatalf("fragmented sink tags = %v, want Data1 and Data2", got)
 	}
-	// Tainted traffic pays exactly the 5x group factor of §V-F; the
-	// framed codec adds only the stream magic per connection and one
-	// 5-byte header per write, so the measured factor sits just above 5.
-	if factor := float64(wireBytes) / float64(data); factor < 5.0 || factor > 5.01 {
-		t.Fatalf("wire factor = %.4f, want 5.0 plus constant framing (§V-F)", factor)
+	if f := factor(h); f < 5.0 || f > 5.01 {
+		t.Fatalf("fragmented wire factor = %.4f, want 5.0 plus constant framing (§V-F)", f)
+	}
+
+	// Uniform taint: one Global ID per frame instead of per byte.
+	h, err = RunCase(c, tracker.ModeDista, testSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := factor(h); f > 1.01 {
+		t.Fatalf("uniform wire factor = %.4f, want <= 1.01", f)
 	}
 
 	// The off run keeps the factor at 1.
