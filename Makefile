@@ -56,13 +56,14 @@ bench-hotpath:
 	$(GO) test -run=NONE -bench='$(BENCH_RE)' -benchmem -benchtime=1s -count=3 . | tee bench_hotpath.txt
 	$(GO) run ./cmd/benchjson -in bench_hotpath.txt -out BENCH_1.json
 
-# Run the concurrent Taint Map service benchmarks (multiplexed client vs
-# the stop-and-wait baseline, plus single-client untagged latency) and
-# refresh BENCH_2.json. Medians of -count=5 repetitions: the shared box
-# is noisy, and the headline criterion is an in-run ratio, so extra
-# repetitions buy stability where it matters.
+# Run the multiplexed Taint Map client on the 8-goroutine mixed workload
+# and refresh BENCH_2.json (Mux8 vs the pre-sharding seed). Medians of
+# -count=5 repetitions: the shared box is noisy, so extra repetitions
+# buy stability where it matters. The resilient and cluster clients'
+# in-run ratios are BENCH_3's and BENCH_6's, measured by their own
+# targets.
 bench-taintmap:
-	$(GO) test -run=NONE -bench=BenchmarkTaintMapConcurrent -benchmem -benchtime=1s -count=5 . | tee bench_taintmap.txt
+	$(GO) test -run=NONE -bench='BenchmarkTaintMapConcurrent/Mux8$$' -benchmem -benchtime=1s -count=5 . | tee bench_taintmap.txt
 	$(GO) run ./cmd/benchjson -in bench_taintmap.txt -out BENCH_2.json
 
 # Measure the resilience wrapper's fault-free overhead: ResilientClient
@@ -173,7 +174,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzStreamRoundTrip -fuzztime=20s ./internal/core/wire
 
 # ~10s per target over the taint map protocol surface — the server-side
-# frame parser (both protocol generations) and the blob/id list codecs —
+# frame parser (including frames in the retired untagged shape, which
+# must close the connection) and the blob/id list codecs —
 # plus the tier-transition fuzzer, which drives an endpoint pair
 # through random density schedules and checks per-byte label
 # delivery across encoding switches. `go test` accepts one -fuzz

@@ -2,11 +2,11 @@
 // the independent process of DSN'22 §III-D that all nodes of a DisTA
 // deployment contact to exchange Global IDs for taints.
 //
-// The server speaks both protocol generations on every connection:
-// the legacy untagged stop-and-wait frames and the tagged pipelined
-// frames that multiplexed clients interleave on one connection. The
-// store behind it is sharded, so concurrent connections register and
-// look up taints without funneling through one lock.
+// The server speaks one protocol: tagged, pipelined frames that
+// multiplexed clients interleave on one connection. A frame with an
+// unknown op byte closes its connection. The store behind it is
+// sharded, so concurrent connections register and look up taints
+// without funneling through one lock.
 //
 // Usage:
 //

@@ -106,7 +106,7 @@ const ablationMinPairs = 5
 func MeasureCachingAblation(size, iters int) (AblationResult, error) {
 	clients := [2]func(*taintmap.Store, *taint.Tree) taintmap.Client{
 		func(s *taintmap.Store, tr *taint.Tree) taintmap.Client { return taintmap.NewLocalClient(s, tr) },
-		func(s *taintmap.Store, tr *taint.Tree) taintmap.Client { return taintmap.NewUncachedClient(s, tr) },
+		func(s *taintmap.Store, tr *taint.Tree) taintmap.Client { return &uncachedClient{store: s, tree: tr} },
 	}
 	pairs := max(iters, ablationMinPairs)
 	var samples [2][]time.Duration // cached, uncached

@@ -1,27 +1,24 @@
-package taintmap
+package bench
 
-import "dista/internal/core/taint"
+import (
+	"dista/internal/core/taint"
+	"dista/internal/taintmap"
+)
 
-// UncachedClient is an ablation baseline: it contacts the Store on
+// uncachedClient is ablation A1's baseline: it contacts the Store on
 // *every* Register and Lookup, disabling both the per-node Global ID
 // memo (Fig. 9 step ② "does not need to request a Global ID again") and
 // the receiver-side id -> taint cache. It exists to quantify what the
-// paper's caching design saves; production code should use
-// LocalClient/RemoteClient.
-type UncachedClient struct {
-	store *Store
+// paper's caching design saves.
+type uncachedClient struct {
+	store *taintmap.Store
 	tree  *taint.Tree
 }
 
-var _ Client = (*UncachedClient)(nil)
-
-// NewUncachedClient returns the ablation client.
-func NewUncachedClient(store *Store, tree *taint.Tree) *UncachedClient {
-	return &UncachedClient{store: store, tree: tree}
-}
+var _ taintmap.Client = (*uncachedClient)(nil)
 
 // Register implements Client without consulting or updating any cache.
-func (c *UncachedClient) Register(t taint.Taint) (uint32, error) {
+func (c *uncachedClient) Register(t taint.Taint) (uint32, error) {
 	if t.Empty() {
 		return 0, nil
 	}
@@ -33,7 +30,7 @@ func (c *UncachedClient) Register(t taint.Taint) (uint32, error) {
 }
 
 // Lookup implements Client without any cache.
-func (c *UncachedClient) Lookup(id uint32) (taint.Taint, error) {
+func (c *uncachedClient) Lookup(id uint32) (taint.Taint, error) {
 	if id == 0 {
 		return taint.Taint{}, nil
 	}
@@ -46,7 +43,7 @@ func (c *UncachedClient) Lookup(id uint32) (taint.Taint, error) {
 
 // RegisterBatch implements Client; the ablation still pays one store
 // call per taint, since skipping work is exactly what it must not do.
-func (c *UncachedClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
+func (c *uncachedClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 	ids := make([]uint32, len(ts))
 	for i, t := range ts {
 		id, err := c.Register(t)
@@ -59,7 +56,7 @@ func (c *UncachedClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 }
 
 // LookupBatch implements Client, one store call per id.
-func (c *UncachedClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
+func (c *uncachedClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 	ts := make([]taint.Taint, len(ids))
 	for i, id := range ids {
 		t, err := c.Lookup(id)
@@ -72,4 +69,4 @@ func (c *UncachedClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 }
 
 // Close implements Client.
-func (c *UncachedClient) Close() error { return nil }
+func (c *uncachedClient) Close() error { return nil }

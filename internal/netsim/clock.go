@@ -33,6 +33,9 @@ type Timer interface {
 // realClock is the wall-clock Clock every Network starts with.
 type realClock struct{}
 
+// WallClock returns the real-time Clock: time.Now and time.AfterFunc.
+func WallClock() Clock { return realClock{} }
+
 func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) AfterFunc(d time.Duration, f func()) Timer {

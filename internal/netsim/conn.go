@@ -394,10 +394,11 @@ func (c *Conn) Write(b []byte) (int, error) {
 // buffered data; its writes fail.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
-		c.dead.Store(true)
-		c.deadOnce.Do(func() { close(c.deadCh) })
+		// Pipe state first: a writer released from a stall by deadCh
+		// must find the pipe already closed, or its bytes could slip in.
 		c.out.closeWrite()
 		c.in.closeRead()
+		c.markDead()
 	})
 	return nil
 }
@@ -406,10 +407,17 @@ func (c *Conn) Close() error {
 // observe ErrReset on every subsequent read and write, with no EOF
 // grace for buffered data.
 func (c *Conn) Reset() {
-	c.dead.Store(true)
-	c.deadOnce.Do(func() { close(c.deadCh) })
 	c.in.fail(ErrReset)
 	c.out.fail(ErrReset)
+	c.markDead()
+}
+
+// markDead releases writers frozen by a stall. Callers make the pipe
+// state final first, so a released writer always sees the close or
+// reset.
+func (c *Conn) markDead() {
+	c.dead.Store(true)
+	c.deadOnce.Do(func() { close(c.deadCh) })
 }
 
 // SetReadDeadline makes reads fail with ErrDeadline once t passes; the

@@ -4,24 +4,12 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"dista/internal/netsim"
 )
 
-// stepClock is a manually-advanced clock for budget tests: no
-// wall-clock sleeps, refill is driven by Advance.
-type stepClock struct {
-	now time.Time
-}
-
-func (c *stepClock) Now() time.Time { return c.now }
-func (c *stepClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- c.now.Add(d)
-	return ch
-}
-func (c *stepClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
-
 func TestBudgetBurstThenDeny(t *testing.T) {
-	clk := &stepClock{now: time.Unix(100, 0)}
+	clk := netsim.NewVirtualClock()
 	b := newBudgetClock(10, 3, clk)
 	for i := 0; i < 3; i++ {
 		if !b.TryTake(1) {
@@ -40,7 +28,7 @@ func TestBudgetBurstThenDeny(t *testing.T) {
 }
 
 func TestBudgetRefill(t *testing.T) {
-	clk := &stepClock{now: time.Unix(100, 0)}
+	clk := netsim.NewVirtualClock()
 	b := newBudgetClock(10, 5, clk) // 10 tokens/s, capacity 5
 	for i := 0; i < 5; i++ {
 		if !b.TryTake(1) {
@@ -78,10 +66,10 @@ func TestBudgetNilAlwaysAllows(t *testing.T) {
 	if b.Denied() != 0 || b.Taken() != 0 || b.Tokens() != 0 {
 		t.Fatalf("nil budget reported non-zero counters")
 	}
-	if newBudgetClock(0, 10, &stepClock{}) != nil {
+	if newBudgetClock(0, 10, netsim.NewVirtualClock()) != nil {
 		t.Fatalf("zero rate did not disable the budget")
 	}
-	if newBudgetClock(10, -1, &stepClock{}) != nil {
+	if newBudgetClock(10, -1, netsim.NewVirtualClock()) != nil {
 		t.Fatalf("negative burst did not disable the budget")
 	}
 }
@@ -93,7 +81,7 @@ func TestBudgetExhaustedMatchesDegraded(t *testing.T) {
 }
 
 func TestBudgetFractionalTake(t *testing.T) {
-	clk := &stepClock{now: time.Unix(100, 0)}
+	clk := netsim.NewVirtualClock()
 	b := newBudgetClock(1, 1, clk)
 	if !b.TryTake(1) {
 		t.Fatalf("initial take refused")

@@ -132,7 +132,7 @@ func (n *ClusterNode) Join(m Member) (*Ring, error) {
 		if peer.Part == n.self.Part || peer.Part == m.Part {
 			continue
 		}
-		if err := n.callPeer(peer, opJoinTag, payload); err != nil {
+		if err := n.callPeer(peer, opJoin, payload); err != nil {
 			// The peer will learn the ring on its next join exchange or
 			// from a client; membership gossip is best-effort.
 			continue
@@ -147,7 +147,7 @@ func (n *ClusterNode) Join(m Member) (*Ring, error) {
 func (n *ClusterNode) JoinVia(seedAddr string) (*Ring, error) {
 	link := &peerLink{addr: seedAddr, dial: n.dial}
 	defer link.close()
-	reply, err := link.call(opJoinTag, appendMember(nil, n.self), time.Duration(n.peerTimeout.Load()))
+	reply, err := link.call(opJoin, appendMember(nil, n.self), time.Duration(n.peerTimeout.Load()))
 	if err != nil {
 		return nil, fmt.Errorf("taintmap: join via %s: %w", seedAddr, err)
 	}
@@ -172,7 +172,7 @@ func (n *ClusterNode) replicate(entries []byte) {
 		if !ok {
 			continue
 		}
-		if err := n.callPeer(peer, opReplicateTag, entries); err != nil {
+		if err := n.callPeer(peer, opReplicate, entries); err != nil {
 			n.hinted.Add(1)
 			continue
 		}
@@ -208,7 +208,7 @@ func (n *ClusterNode) Close() {
 }
 
 // peerLink is one node-to-node connection: stop-and-wait over the
-// tagged frame format (tag 0 — the link is mutex-serialized, so tags
+// frame format (tag 0 — the link is mutex-serialized, so tags
 // carry no information). Kept deliberately simpler than the client mux:
 // replication already batches at the request level, and a peer push is
 // on the registration latency path only for fresh ids.
@@ -255,7 +255,10 @@ func (l *peerLink) call(op byte, payload []byte, timeout time.Duration) ([]byte,
 		l.br = bufio.NewReaderSize(conn, 32<<10)
 		l.bw = bufio.NewWriterSize(conn, 32<<10)
 	}
-	if err := writeTaggedFrame(l.bw, op, 0, payload); err != nil {
+	if len(payload) > maxFrame {
+		return fail(fmt.Errorf("%w: frame of %d bytes", errProtocol, len(payload)))
+	}
+	if err := writeFrame(l.bw, op, 0, payload); err != nil {
 		return fail(err)
 	}
 	if err := l.bw.Flush(); err != nil {
@@ -281,7 +284,7 @@ func (l *peerLink) call(op byte, payload []byte, timeout time.Duration) ([]byte,
 	if rd != nil && timeout > 0 {
 		rd.SetReadDeadline(time.Time{})
 	}
-	if status != statusTaggedOK {
+	if status != statusOK {
 		// The request was answered; the link itself is healthy.
 		return nil, serverErr(reply)
 	}

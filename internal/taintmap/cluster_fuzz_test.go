@@ -2,7 +2,6 @@ package taintmap
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -19,26 +18,27 @@ func FuzzClusterServeConn(f *testing.F) {
 		[][]byte{[]byte("blob-a"), []byte("blob-b")})
 	ownEntries := appendEntries(nil, []uint32{partitionBase(0) | 3}, [][]byte{[]byte("blob-own")})
 
-	// The whole cluster vocabulary, tagged and untagged.
-	f.Add(taggedReq(opRingTag, 1, nil))
-	f.Add(untaggedReq(opRing, nil))
-	f.Add(taggedReq(opJoinTag, 2, appendMember(nil, Member{Part: 2, Addr: "c:1"})))
-	f.Add(untaggedReq(opJoin, appendMember(nil, Member{Part: 3, Addr: "d:1"})))
-	f.Add(taggedReq(opReplicateTag, 3, entries))
-	f.Add(untaggedReq(opReplicate, ownEntries))
-	f.Add(taggedReq(opRepairTag, 4, entries))
-	f.Add(untaggedReq(opRepair, entries))
+	// The whole cluster vocabulary, plus the retired untagged shapes
+	// the server must reject as malformed.
+	f.Add(taggedReq(opRing, 1, nil))
+	f.Add(untaggedReq('G', nil))
+	f.Add(taggedReq(opJoin, 2, appendMember(nil, Member{Part: 2, Addr: "c:1"})))
+	f.Add(untaggedReq('J', appendMember(nil, Member{Part: 3, Addr: "d:1"})))
+	f.Add(taggedReq(opReplicate, 3, entries))
+	f.Add(untaggedReq('P', ownEntries))
+	f.Add(taggedReq(opRepair, 4, entries))
+	f.Add(untaggedReq('W', entries))
 	// Interleaved with ordinary traffic: a register that triggers the
 	// synchronous replication path before its reply.
-	f.Add(append(untaggedReq(opRegister, []byte("fresh")), taggedReq(opRingTag, 5, nil)...))
+	f.Add(append(taggedReq(opRegister, 12, []byte("fresh")), taggedReq(opRing, 5, nil)...))
 	// Malformed cluster payloads: truncated member, trailing bytes,
 	// absurd entry counts, provisional/zero-seq ids in entries.
-	f.Add(taggedReq(opJoinTag, 6, []byte{2, 0}))
-	f.Add(taggedReq(opJoinTag, 7, append(appendMember(nil, Member{Part: 1, Addr: "b:2"}), 0xFF)))
-	f.Add(taggedReq(opReplicateTag, 8, []byte{0xFF, 0xFF, 0xFF, 0xFF}))
-	f.Add(taggedReq(opReplicateTag, 9, appendEntries(nil, []uint32{provisionalBit | 5}, [][]byte{[]byte("x")})))
-	f.Add(taggedReq(opRepairTag, 10, appendEntries(nil, []uint32{partitionBase(2)}, [][]byte{[]byte("x")})))
-	f.Add(taggedReq(opRepairTag, 11, append(entries, 0xAA)))
+	f.Add(taggedReq(opJoin, 6, []byte{2, 0}))
+	f.Add(taggedReq(opJoin, 7, append(appendMember(nil, Member{Part: 1, Addr: "b:2"}), 0xFF)))
+	f.Add(taggedReq(opReplicate, 8, []byte{0xFF, 0xFF, 0xFF, 0xFF}))
+	f.Add(taggedReq(opReplicate, 9, appendEntries(nil, []uint32{provisionalBit | 5}, [][]byte{[]byte("x")})))
+	f.Add(taggedReq(opRepair, 10, appendEntries(nil, []uint32{partitionBase(2)}, [][]byte{[]byte("x")})))
+	f.Add(taggedReq(opRepair, 11, append(entries, 0xAA)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := NewStore()
@@ -54,30 +54,7 @@ func FuzzClusterServeConn(f *testing.F) {
 		conn := &fuzzConn{r: bytes.NewReader(data)}
 		_ = serveConn(connHost{store: store, node: node}, conn, 0)
 
-		out := conn.w.Bytes()
-		for len(out) > 0 {
-			status := out[0]
-			var hdrLen int
-			switch status {
-			case statusOK, statusErr:
-				hdrLen = 5
-			case statusTaggedOK, statusTaggedErr:
-				hdrLen = 9
-			default:
-				t.Fatalf("response starts with status %d", status)
-			}
-			if len(out) < hdrLen {
-				t.Fatalf("truncated response header: % x", out)
-			}
-			n := binary.BigEndian.Uint32(out[hdrLen-4 : hdrLen])
-			if n > maxReplyFrame {
-				t.Fatalf("response frame of %d bytes", n)
-			}
-			if len(out) < hdrLen+int(n) {
-				t.Fatalf("truncated response payload: want %d, have %d", n, len(out)-hdrLen)
-			}
-			out = out[hdrLen+int(n):]
-		}
+		checkResponses(t, conn.w.Bytes())
 	})
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"dista/internal/bench/hist"
 	"dista/internal/core/taint"
+	"dista/internal/netsim"
 )
 
 // ClusterClient is a Client over a partitioned, replicated Taint Map:
@@ -107,6 +108,9 @@ func (o ClusterOptions) withClusterDefaults() ClusterOptions {
 	if o.BudgetBurst == 0 {
 		o.BudgetBurst = 100
 	}
+	if o.Resilient.clk == nil {
+		o.Resilient.clk = netsim.WallClock()
+	}
 	return o
 }
 
@@ -127,11 +131,7 @@ func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser
 		addr := addrs[0]
 		opt = opt.withClusterDefaults()
 		ropt := opt.Resilient
-		clk := ropt.clk
-		if clk == nil {
-			clk = realClock{}
-		}
-		ropt.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, clk)
+		ropt.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, ropt.clk)
 		return NewResilientClient(func() (io.ReadWriteCloser, error) { return dial(addr) }, tree, ropt), nil
 	}
 	var lastErr error
@@ -142,7 +142,7 @@ func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser
 			continue
 		}
 		rc := NewRemoteClient(conn, tree)
-		reply, err := rc.call(opRingTag, nil)
+		reply, err := rc.call(opRing, nil)
 		rc.Close()
 		if err != nil {
 			lastErr = err
@@ -177,11 +177,7 @@ func NewClusterClient(ring *Ring, dial func(addr string) (io.ReadWriteCloser, er
 		memo:    &cache{},
 		members: make(map[uint32]*clusterMember),
 	}
-	clk := opt.Resilient.clk
-	if clk == nil {
-		clk = realClock{}
-	}
-	c.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, clk)
+	c.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, opt.Resilient.clk)
 	c.ring.Store(ring)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -286,7 +282,7 @@ func (c *ClusterClient) Refresh() (*Ring, error) {
 	c.mu.Unlock()
 	var lastErr error = ErrDegraded
 	for _, cm := range handles {
-		reply, err := cm.rc.rawCall(opRingTag, nil)
+		reply, err := cm.rc.rawCall(opRing, nil)
 		if err != nil {
 			lastErr = err
 			continue
@@ -663,7 +659,7 @@ func (c *ClusterClient) repairTo(stale []*clusterMember, ids []uint32, ts []tain
 	}
 	payload := appendEntries(nil, okIDs, blobs)
 	for _, cm := range stale {
-		if _, err := cm.rc.rawCall(opRepairTag, payload); err == nil {
+		if _, err := cm.rc.rawCall(opRepair, payload); err == nil {
 			c.repaired.Add(int64(len(okIDs)))
 		}
 	}

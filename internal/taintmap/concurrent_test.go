@@ -2,7 +2,6 @@ package taintmap
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -175,63 +174,46 @@ func TestRegisterBatchChunksOversized(t *testing.T) {
 		return ts, total
 	}
 
-	for _, tc := range []struct {
-		name string
-		dial func(*taint.Tree) Client
-	}{
-		{"Mux", func(tree *taint.Tree) Client {
-			c, err := DialSim(n, "tm:7", tree)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("Mux", func(t *testing.T) {
+		tree := taint.NewTree()
+		client, err := DialSim(n, "tm:7", tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		ts, total := build(tree)
+		if total <= maxFrame {
+			t.Fatalf("test batch encodes to %d bytes, need > %d", total, maxFrame)
+		}
+		ids, err := client.RegisterBatch(ts)
+		if err != nil {
+			t.Fatalf("oversized batch: %v", err)
+		}
+		seen := make(map[uint32]bool)
+		for i, id := range ids {
+			if id == 0 || seen[id] {
+				t.Fatalf("id[%d] = %d (zero or duplicate)", i, id)
 			}
-			return c
-		}},
-		{"StopAndWait", func(tree *taint.Tree) Client {
-			conn, err := n.Dial("tm:7")
-			if err != nil {
-				t.Fatal(err)
+			seen[id] = true
+		}
+		// Round-trip through a fresh client to prove the server got
+		// every blob intact.
+		checkTree := taint.NewTree()
+		check, err := DialSim(n, "tm:7", checkTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer check.Close()
+		got, err := check.LookupBatch(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !taint.SameSet(got[i], ts[i]) {
+				t.Fatalf("taint %d did not survive the chunked round trip", i)
 			}
-			return NewStopAndWaitClient(conn, tree)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tree := taint.NewTree()
-			client := tc.dial(tree)
-			defer client.Close()
-			ts, total := build(tree)
-			if total <= maxFrame {
-				t.Fatalf("test batch encodes to %d bytes, need > %d", total, maxFrame)
-			}
-			ids, err := client.RegisterBatch(ts)
-			if err != nil {
-				t.Fatalf("oversized batch: %v", err)
-			}
-			seen := make(map[uint32]bool)
-			for i, id := range ids {
-				if id == 0 || seen[id] {
-					t.Fatalf("id[%d] = %d (zero or duplicate)", i, id)
-				}
-				seen[id] = true
-			}
-			// Round-trip through a fresh client to prove the server got
-			// every blob intact.
-			checkTree := taint.NewTree()
-			check, err := DialSim(n, "tm:7", checkTree)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer check.Close()
-			got, err := check.LookupBatch(ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if !taint.SameSet(got[i], ts[i]) {
-					t.Fatalf("taint %d did not survive the chunked round trip", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSplitIDChunks covers the id-side chunker without paying for a
@@ -259,109 +241,6 @@ func TestSplitIDChunks(t *testing.T) {
 		if back[i] != ids[i] {
 			t.Fatalf("id %d reordered", i)
 		}
-	}
-}
-
-// TestStopAndWaitClientAgainstServer pins the legacy untagged ops
-// against the rebuilt server: same semantics, same error text, and the
-// connection survives a server-side error.
-func TestStopAndWaitClientAgainstServer(t *testing.T) {
-	n := netsim.New()
-	srv, err := StartSimServer(n, "tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tree := taint.NewTree()
-	conn, err := n.Dial("tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewStopAndWaitClient(conn, tree)
-	defer c.Close()
-
-	t1 := tree.NewSource("legacy", "n1:1")
-	id, err := c.Register(t1)
-	if err != nil || id == 0 {
-		t.Fatalf("register = %d, %v", id, err)
-	}
-	if _, err := c.Lookup(9999); err == nil || !strings.Contains(err.Error(), "unknown global id: 9999") {
-		t.Fatalf("unknown-id error = %v", err)
-	}
-	reader := taint.NewTree()
-	conn2, err := n.Dial("tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewStopAndWaitClient(conn2, reader)
-	defer c2.Close()
-	got, err := c2.Lookup(id)
-	if err != nil || !taint.SameSet(got, t1) {
-		t.Fatalf("lookup = %v, %v", got, err)
-	}
-	st, err := c2.Stats()
-	if err != nil || st.GlobalTaints != 1 {
-		t.Fatalf("stats = %+v, %v", st, err)
-	}
-}
-
-// TestMixedProtocolsOneConnection drives untagged and tagged frames
-// interleaved on a single raw connection, checking the server keeps the
-// two generations byte-for-byte straight.
-func TestMixedProtocolsOneConnection(t *testing.T) {
-	n := netsim.New()
-	srv, err := StartSimServer(n, "tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := n.Dial("tm:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Untagged register of "blobA" -> id 1.
-	if err := writeFrame(conn, opRegister, []byte("blobA")); err != nil {
-		t.Fatal(err)
-	}
-	status, reply, err := readFrame(conn)
-	if err != nil || status != statusOK || len(reply) != 4 {
-		t.Fatalf("untagged register reply: %d %x %v", status, reply, err)
-	}
-	id := reply
-
-	// Tagged lookup of that id, tag 77, on the same connection.
-	var buf [13]byte
-	buf[0] = opLookupTag
-	buf[1], buf[2], buf[3], buf[4] = 0, 0, 0, 77
-	buf[5], buf[6], buf[7], buf[8] = 0, 0, 0, 4
-	copy(buf[9:], id)
-	if _, err := conn.Write(buf[:]); err != nil {
-		t.Fatal(err)
-	}
-	var hdr [9]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	if hdr[0] != statusTaggedOK || hdr[4] != 77 || hdr[8] != 5 {
-		t.Fatalf("tagged header = %x", hdr)
-	}
-	payload := make([]byte, 5)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	if string(payload) != "blobA" {
-		t.Fatalf("tagged lookup payload = %q", payload)
-	}
-
-	// And an untagged stats after the tagged exchange.
-	if err := writeFrame(conn, opStats, nil); err != nil {
-		t.Fatal(err)
-	}
-	status, reply, err = readFrame(conn)
-	if err != nil || status != statusOK || len(reply) != 24 {
-		t.Fatalf("untagged stats reply: %d %x %v", status, reply, err)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestCallDeadlineExpired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if _, err := rc.callDeadline(opStatsTag, nil, time.Now().Add(-time.Second)); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := rc.callDeadline(opStats, nil, time.Now().Add(-time.Second)); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline = %v, want ErrDeadlineExceeded", err)
 	}
 }

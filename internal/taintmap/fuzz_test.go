@@ -24,7 +24,8 @@ func taggedReq(op byte, tag uint32, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// untaggedReq builds one legacy request frame.
+// untaggedReq builds one frame in the retired untagged shape (op byte,
+// 4-byte length, payload), which the server must reject as malformed.
 func untaggedReq(op byte, payload []byte) []byte {
 	b := []byte{op}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
@@ -32,58 +33,57 @@ func untaggedReq(op byte, payload []byte) []byte {
 }
 
 // FuzzServeConn feeds arbitrary byte streams to the protocol parser —
-// mixing well-formed untagged and tagged frames, truncations and
-// trailing garbage — and asserts the server never panics and that
+// well-formed frames, frames in the retired untagged shape, truncations
+// and trailing garbage — and asserts the server never panics and that
 // everything it writes back is a stream of complete, well-formed
 // response frames (the flush-on-exit guarantee).
 func FuzzServeConn(f *testing.F) {
-	f.Add(untaggedReq(opRegister, []byte("blob")))
-	f.Add(untaggedReq(opLookup, []byte{0, 0, 0, 1}))
-	f.Add(untaggedReq(opStats, nil))
-	f.Add(taggedReq(opRegisterTag, 7, []byte("blob")))
-	f.Add(taggedReq(opLookupBatchTag, 9, []byte{0, 0, 0, 1, 0, 0, 0, 2}))
-	f.Add(append(untaggedReq(opRegister, []byte("a")), taggedReq(opLookupTag, 3, []byte{0, 0, 0, 1})...))
+	f.Add(untaggedReq('R', []byte("blob")))
+	f.Add(untaggedReq('L', []byte{0, 0, 0, 1}))
+	f.Add(untaggedReq('S', nil))
+	f.Add(taggedReq(opRegister, 7, []byte("blob")))
+	f.Add(taggedReq(opLookupBatch, 9, []byte{0, 0, 0, 1, 0, 0, 0, 2}))
+	f.Add(append(untaggedReq('R', []byte("a")), taggedReq(opLookup, 3, []byte{0, 0, 0, 1})...))
 	// Truncated frames: header cut short, payload cut short.
-	f.Add([]byte{opRegister, 0, 0})
-	f.Add([]byte{opRegisterTag, 0, 0, 0, 1, 0, 0, 0, 9, 'x'})
+	f.Add([]byte{'R', 0, 0})
+	f.Add([]byte{opRegister, 0, 0, 0, 1, 0, 0, 0, 9, 'x'})
 	// Trailing garbage after a valid frame.
-	f.Add(append(untaggedReq(opStats, nil), 0xDE, 0xAD, 0xBE, 0xEF))
+	f.Add(append(untaggedReq('S', nil), 0xDE, 0xAD, 0xBE, 0xEF))
 	// Oversized length field and unknown op.
-	f.Add([]byte{opLookup, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{'L', 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(untaggedReq('Z', []byte("???")))
-	f.Add(untaggedReq(opRegisterBatch, []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a'}))
+	f.Add(untaggedReq('B', []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a'}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := NewStore()
 		conn := &fuzzConn{r: bytes.NewReader(data)}
 		_ = ServeConn(store, conn) // must terminate without panicking
 
-		// Every byte written must belong to a complete response frame.
-		out := conn.w.Bytes()
-		for len(out) > 0 {
-			status := out[0]
-			var hdrLen int
-			switch status {
-			case statusOK, statusErr:
-				hdrLen = 5
-			case statusTaggedOK, statusTaggedErr:
-				hdrLen = 9
-			default:
-				t.Fatalf("response starts with status %d", status)
-			}
-			if len(out) < hdrLen {
-				t.Fatalf("truncated response header: % x", out)
-			}
-			n := binary.BigEndian.Uint32(out[hdrLen-4 : hdrLen])
-			if n > maxReplyFrame {
-				t.Fatalf("response frame of %d bytes", n)
-			}
-			if len(out) < hdrLen+int(n) {
-				t.Fatalf("truncated response payload: want %d, have %d", n, len(out)-hdrLen)
-			}
-			out = out[hdrLen+int(n):]
-		}
+		checkResponses(t, conn.w.Bytes())
 	})
+}
+
+// checkResponses asserts that every byte of out belongs to a complete,
+// well-formed response frame: a 9-byte header with status OK or error,
+// then a payload of the announced length.
+func checkResponses(t *testing.T, out []byte) {
+	t.Helper()
+	for len(out) > 0 {
+		if out[0] != statusOK && out[0] != statusErr {
+			t.Fatalf("response starts with status %d", out[0])
+		}
+		if len(out) < 9 {
+			t.Fatalf("truncated response header: % x", out)
+		}
+		n := binary.BigEndian.Uint32(out[5:9])
+		if n > maxReplyFrame {
+			t.Fatalf("response frame of %d bytes", n)
+		}
+		if len(out) < 9+int(n) {
+			t.Fatalf("truncated response payload: want %d, have %d", n, len(out)-9)
+		}
+		out = out[9+int(n):]
+	}
 }
 
 // FuzzParseBlobList throws random bytes at the blob-list parser: it

@@ -234,7 +234,7 @@ func (c *RemoteClient) writer() {
 			return
 		}
 		if len(regs) == 1 {
-			err = writeTaggedFrame(c.bw, opRegisterTag, regs[0].tag, regs[0].payload)
+			err = writeFrame(c.bw, opRegister, regs[0].tag, regs[0].payload)
 			regs = regs[:0]
 			regBytes = 0
 			return
@@ -252,7 +252,7 @@ func (c *RemoteClient) writer() {
 		}
 		c.pmu.Unlock()
 		scratch = appendBlobList(scratch[:0], blobs)
-		err = writeTaggedFrame(c.bw, opRegisterBatchTag, btag, scratch)
+		err = writeFrame(c.bw, opRegisterBatch, btag, scratch)
 		regs = regs[:0]
 		regBytes = 0
 	}
@@ -263,7 +263,7 @@ func (c *RemoteClient) writer() {
 		if err != nil {
 			return
 		}
-		if w.op == opRegisterTag {
+		if w.op == opRegister {
 			if regBytes == 0 {
 				regBytes = 4 // blob-list count prefix
 			}
@@ -277,7 +277,7 @@ func (c *RemoteClient) writer() {
 		}
 		flushRegs()
 		if err == nil {
-			err = writeTaggedFrame(c.bw, w.op, w.tag, w.payload)
+			err = writeFrame(c.bw, w.op, w.tag, w.payload)
 		}
 	}
 
@@ -340,7 +340,7 @@ loop:
 		status := hdr[0]
 		tag := binary.BigEndian.Uint32(hdr[1:5])
 		n := binary.BigEndian.Uint32(hdr[5:9])
-		if status != statusTaggedOK && status != statusTaggedErr {
+		if status != statusOK && status != statusErr {
 			err = fmt.Errorf("%w: response status %d", errProtocol, status)
 			break
 		}
@@ -361,7 +361,7 @@ loop:
 				// Validate before dequeuing the members: on a malformed
 				// reply they stay in pending, so the exit sweep below
 				// fails them instead of leaving their callers hanging.
-				if status == statusTaggedOK && len(payload) != 4*len(members) {
+				if status == statusOK && len(payload) != 4*len(members) {
 					c.pmu.Unlock()
 					err = fmt.Errorf("%w: batch register reply of %d bytes for %d members",
 						errProtocol, len(payload), len(members))
@@ -406,7 +406,7 @@ loop:
 // and member i receives its own 4-byte slice. Length was validated by
 // demux before the members were dequeued.
 func (c *RemoteClient) fanOut(chans []chan muxReply, status byte, payload []byte) {
-	if status != statusTaggedOK {
+	if status != statusOK {
 		for _, ch := range chans {
 			if ch != nil {
 				ch <- muxReply{status: status, payload: payload}
@@ -468,7 +468,7 @@ func (c *RemoteClient) finishReply(ch chan muxReply, reply muxReply, ok bool) ([
 		return nil, err
 	}
 	replyChans.Put(ch)
-	if reply.status != statusTaggedOK {
+	if reply.status != statusOK {
 		return nil, serverErr(reply.payload)
 	}
 	return reply.payload, nil
@@ -567,7 +567,7 @@ func (c *RemoteClient) registerBlob(blob []byte) (uint32, error) {
 	c.sf[key] = f
 	c.sfMu.Unlock()
 
-	reply, err := c.call(opRegisterTag, blob)
+	reply, err := c.call(opRegister, blob)
 	switch {
 	case err != nil:
 		f.err = err
@@ -622,7 +622,7 @@ func (c *RemoteClient) registerBlobs(blobs [][]byte) ([]uint32, error) {
 	}
 	ids := make([]uint32, 0, len(blobs))
 	for _, chunk := range chunks {
-		reply, err := c.call(opRegisterBatchTag, appendBlobList(nil, chunk))
+		reply, err := c.call(opRegisterBatch, appendBlobList(nil, chunk))
 		if err != nil {
 			return nil, err
 		}
@@ -651,7 +651,7 @@ func (c *RemoteClient) lookupDeadline(id uint32, deadline time.Time) (taint.Tain
 	}
 	var idBuf [4]byte
 	binary.BigEndian.PutUint32(idBuf[:], id)
-	blob, err := c.callDeadline(opLookupTag, idBuf[:], deadline)
+	blob, err := c.callDeadline(opLookup, idBuf[:], deadline)
 	if err != nil {
 		return taint.Taint{}, err
 	}
@@ -702,7 +702,7 @@ func (c *RemoteClient) lookupBatchDeadline(ids []uint32, deadline time.Time) ([]
 	blobs := make([][]byte, 0, len(missing))
 	for _, chunk := range splitIDChunks(missing) {
 		for len(chunk) > 0 {
-			reply, err := c.callDeadline(opLookupBatchTag, appendIDList(nil, chunk), deadline)
+			reply, err := c.callDeadline(opLookupBatch, appendIDList(nil, chunk), deadline)
 			if err != nil {
 				return nil, err
 			}
@@ -725,7 +725,7 @@ func (c *RemoteClient) lookupBatchDeadline(ids []uint32, deadline time.Time) ([]
 
 // Stats fetches the server-side counters.
 func (c *RemoteClient) Stats() (Stats, error) {
-	reply, err := c.call(opStatsTag, nil)
+	reply, err := c.call(opStats, nil)
 	if err != nil {
 		return Stats{}, err
 	}

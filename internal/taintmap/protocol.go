@@ -9,39 +9,30 @@ import (
 	"time"
 )
 
-// Wire protocol: length-prefixed frames over any reliable stream, in
-// two generations served side by side on the same connection.
-//
-// Untagged (legacy, stop-and-wait):
-//
-//	request:  op byte | uint32 payloadLen | payload
-//	response: status byte | uint32 payloadLen | payload
-//
-// ops: 'R' register (payload = taint blob, reply = 4-byte id),
-//      'L' lookup   (payload = 4-byte id, reply = taint blob),
-//      'B' register batch (payload = blob list, reply = 4-byte id per blob),
-//      'M' lookup batch   (payload = 4-byte id per entry, reply = blob list),
-//      'S' stats    (payload empty, reply = 3x uint64).
-//
-// Tagged (pipelined): the lowercase counterparts 'r','l','b','m','s'
-// carry a client-chosen tag so many requests can be in flight on one
-// connection; the response echoes the tag, letting a demultiplexing
-// client match replies to concurrent callers in arrival order rather
-// than issue order.
+// Wire protocol: length-prefixed, tagged frames over any reliable
+// stream. Every request carries a client-chosen tag so many requests can
+// be in flight on one connection; the response echoes the tag, letting
+// a demultiplexing client match replies to concurrent callers in
+// arrival order rather than issue order.
 //
 //	request:  op byte | uint32 tag | uint32 payloadLen | payload
 //	response: status byte | uint32 tag | uint32 payloadLen | payload
 //
-// Tagged responses use distinct status bytes (2 OK / 3 error) so the
-// two generations can never be confused on the wire. The server answers
-// requests of one connection in order, which for tagged traffic lets it
-// coalesce many small responses into one buffered write.
+// ops: 'r' register (payload = taint blob, reply = 4-byte id),
+//      'l' lookup   (payload = 4-byte id, reply = taint blob),
+//      'b' register batch (payload = blob list, reply = 4-byte id per blob),
+//      'm' lookup batch   (payload = 4-byte id per entry, reply = blob list),
+//      's' stats    (payload empty, reply = 3x uint64).
 //
-// One semantic refinement over the untagged generation: a tagged lookup
-// batch ('m') may return FEWER blobs than requested — always at least
-// one — when the full reply would overflow the frame budget; the client
-// transparently re-requests the tail. The untagged 'M' keeps its
-// historic all-or-nothing behaviour.
+// Response status is 2 (OK) or 3 (error, payload = message). The server
+// answers requests of one connection in order, which lets it coalesce
+// many small responses into one buffered write. A frame whose op byte is
+// not listed here, or whose length exceeds maxFrame, closes the
+// connection.
+//
+// A lookup batch ('m') may return FEWER blobs than requested — always
+// at least one — when the full reply would overflow the frame budget;
+// the client transparently re-requests the tail.
 //
 // A blob list is uint32 count followed by count (uint32 len | bytes)
 // entries. The batch ops let a node resolve every distinct taint of a
@@ -49,45 +40,33 @@ import (
 // Map traffic, amortized over runs).
 
 const (
-	opRegister      = 'R'
-	opLookup        = 'L'
-	opRegisterBatch = 'B'
-	opLookupBatch   = 'M'
-	opStats         = 'S'
+	opRegister      = 'r'
+	opLookup        = 'l'
+	opRegisterBatch = 'b'
+	opLookupBatch   = 'm'
+	opStats         = 's'
 
 	// Cluster ops (PR 6), answered only by servers running with a
 	// ClusterNode; a standalone server rejects them with an error
 	// response, never a dropped connection.
 	//
-	//	'G' ring     — payload empty, reply = ring snapshot encoding
-	//	'J' join     — payload = member encoding, reply = the new ring;
+	//	'g' ring     — payload empty, reply = ring snapshot encoding
+	//	'j' join     — payload = member encoding, reply = the new ring;
 	//	               the receiving node adds the member and gossips the
 	//	               join to its peers (idempotent, so gossip converges)
-	//	'P' replicate — payload = entry list (id + blob per entry), the
+	//	'p' replicate — payload = entry list (id + blob per entry), the
 	//	               owner's synchronous push to its successors before
 	//	               acking a fresh registration; reply empty
-	//	'W' repair   — same payload as replicate: a client that observed a
+	//	'w' repair   — same payload as replicate: a client that observed a
 	//	               replica missing ids it resolved elsewhere pushes the
 	//	               entries back (read-repair); reply empty
-	opRing      = 'G'
-	opJoin      = 'J'
-	opReplicate = 'P'
-	opRepair    = 'W'
+	opRing      = 'g'
+	opJoin      = 'j'
+	opReplicate = 'p'
+	opRepair    = 'w'
 
-	opRegisterTag      = 'r'
-	opLookupTag        = 'l'
-	opRegisterBatchTag = 'b'
-	opLookupBatchTag   = 'm'
-	opStatsTag         = 's'
-	opRingTag          = 'g'
-	opJoinTag          = 'j'
-	opReplicateTag     = 'p'
-	opRepairTag        = 'w'
-
-	statusOK        = 0
-	statusErr       = 1
-	statusTaggedOK  = 2
-	statusTaggedErr = 3
+	statusOK  = 2
+	statusErr = 3
 )
 
 // maxFrame bounds payload sizes to keep a corrupted peer from forcing a
@@ -99,37 +78,40 @@ const maxFrame = 1 << 20
 const maxIDsPerFrame = maxFrame / 4
 
 // maxReplyFrame is the response-side read bound. It exceeds maxFrame by
-// a small slack so a tagged batch-lookup reply carrying one maximum-size
-// blob (plus the count and length prefixes) still fits.
+// a small slack so a batch-lookup reply carrying one maximum-size blob
+// (plus the count and length prefixes) still fits.
 const maxReplyFrame = maxFrame + 16
 
 // errProtocol reports a malformed frame.
 var errProtocol = errors.New("taintmap: protocol error")
 
-// taggedBase maps a tagged op to its untagged ancestor; ok is false for
-// anything that is not a tagged op.
-func taggedBase(op byte) (base byte, ok bool) {
-	switch op {
-	case opRegisterTag:
-		return opRegister, true
-	case opLookupTag:
-		return opLookup, true
-	case opRegisterBatchTag:
-		return opRegisterBatch, true
-	case opLookupBatchTag:
-		return opLookupBatch, true
-	case opStatsTag:
-		return opStats, true
-	case opRingTag:
-		return opRing, true
-	case opJoinTag:
-		return opJoin, true
-	case opReplicateTag:
-		return opReplicate, true
-	case opRepairTag:
-		return opRepair, true
+// readRequestHeader reads one request header, the framing both the
+// serving and the shedding loop use. A frame whose op byte is not a
+// protocol op, or whose length exceeds maxFrame, is an errProtocol.
+// Read errors pass through unwrapped, so io.EOF still marks a clean
+// disconnect. The header is decoded in place in br's buffer, so reading
+// it allocates nothing.
+func readRequestHeader(br *bufio.Reader) (op byte, tag, n uint32, err error) {
+	if op, err = br.ReadByte(); err != nil {
+		return 0, 0, 0, err
 	}
-	return op, false
+	switch op {
+	case opRegister, opLookup, opRegisterBatch, opLookupBatch, opStats,
+		opRing, opJoin, opReplicate, opRepair:
+	default:
+		return 0, 0, 0, fmt.Errorf("%w: unknown op %q", errProtocol, op)
+	}
+	hdr, err := br.Peek(8)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	tag = binary.BigEndian.Uint32(hdr[0:4])
+	n = binary.BigEndian.Uint32(hdr[4:8])
+	br.Discard(8)
+	if n > maxFrame {
+		return 0, 0, 0, fmt.Errorf("%w: frame of %d bytes", errProtocol, n)
+	}
+	return op, tag, n, nil
 }
 
 // Entry lists carry id->blob pairs for replication and read-repair:
@@ -297,46 +279,24 @@ func splitIDChunks(ids []uint32) [][]uint32 {
 	return append(chunks, ids)
 }
 
-func writeFrame(w io.Writer, head byte, payload []byte) error {
-	if len(payload) > maxFrame {
+// writeFrame writes one frame (request or response — the head byte
+// disambiguates) without allocating: the header is appended straight
+// into w's free buffer space, then the caller's payload follows. It
+// enforces the reply-side bound, maxReplyFrame; request senders hold
+// their payloads to maxFrame themselves.
+func writeFrame(w *bufio.Writer, head byte, tag uint32, payload []byte) error {
+	if len(payload) > maxReplyFrame {
 		return fmt.Errorf("%w: frame of %d bytes", errProtocol, len(payload))
 	}
-	buf := make([]byte, 5+len(payload))
-	buf[0] = head
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFrame(r io.Reader) (head byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+	if w.Available() < 9 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
 	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes", errProtocol, n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
-}
-
-// writeTaggedFrame writes one tagged frame (request or response — the
-// head byte disambiguates) without allocating: a stack header plus the
-// caller's payload, both into w's buffer.
-func writeTaggedFrame(w *bufio.Writer, head byte, tag uint32, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("%w: frame of %d bytes", errProtocol, len(payload))
-	}
-	var hdr [9]byte
-	hdr[0] = head
-	binary.BigEndian.PutUint32(hdr[1:5], tag)
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := append(w.AvailableBuffer(), head)
+	hdr = binary.BigEndian.AppendUint32(hdr, tag)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -356,15 +316,18 @@ type connHost struct {
 }
 
 // charge bills one request to the service model, if any is installed.
+// The model sees the op's upper-case letter ('R' register, 'B' register
+// batch, 'L'/'M' lookups, 'P'/'W' replicate and repair, ...): the
+// request-kind names service models and trace counters key on.
 func (h connHost) charge(op byte, items int) {
 	if h.cost != nil {
-		h.cost(op, items)
+		h.cost(op-'a'+'A', items)
 	}
 }
 
 // connScratch holds one connection's reusable buffers: after warm-up
-// the server serves both protocol generations with zero allocations per
-// frame on the happy path.
+// the server serves every frame with zero allocations on the happy
+// path.
 type connScratch struct {
 	payload []byte
 	reply   []byte
@@ -383,13 +346,12 @@ func (c *connScratch) grow(n int) []byte {
 }
 
 // handle serves one request, appending the response payload into the
-// scratch reply buffer. op is the untagged op byte; tagged selects the
-// partial-reply semantics for lookup batches.
+// scratch reply buffer.
 //
 // On a clustered host, fresh registrations are pushed to the owner's
 // successors *before* the reply is appended: once a client sees an id,
 // RF replicas hold its blob (minus hinted-handoff skips on dead peers).
-func (c *connScratch) handle(h connHost, op byte, payload []byte, tagged bool) (status byte, reply []byte) {
+func (c *connScratch) handle(h connHost, op byte, payload []byte) (status byte, reply []byte) {
 	store := h.store
 	reply = c.reply[:0]
 	status = statusOK
@@ -451,9 +413,9 @@ func (c *connScratch) handle(h connHost, op byte, payload []byte, tagged bool) (
 			if !ok {
 				return statusErr, fmt.Appendf(reply[:0], "%v: %d", ErrUnknownGlobalID, id)
 			}
-			if tagged && included > 0 && len(reply)+4+len(blob) > maxFrame {
-				// Partial tagged reply: stop before overflowing the
-				// frame; the client re-requests the remaining ids.
+			if included > 0 && len(reply)+4+len(blob) > maxFrame {
+				// Partial reply: stop before overflowing the frame;
+				// the client re-requests the remaining ids.
 				break
 			}
 			reply = binary.BigEndian.AppendUint32(reply, uint32(len(blob)))
@@ -534,32 +496,9 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 		if rd != nil {
 			rd.SetReadDeadline(time.Now().Add(readTimeout))
 		}
-		op, err := br.ReadByte()
+		op, tag, n, err := readRequestHeader(br)
 		if err != nil {
-			if err == io.EOF {
-				return bw.Flush()
-			}
-			bw.Flush()
-			return err
-		}
-		base, tagged := taggedBase(op)
-		var tag, n uint32
-		var hdr [8]byte
-		if tagged {
-			if _, err := io.ReadFull(br, hdr[:8]); err != nil {
-				return eofOK(err, bw)
-			}
-			tag = binary.BigEndian.Uint32(hdr[0:4])
-			n = binary.BigEndian.Uint32(hdr[4:8])
-		} else {
-			if _, err := io.ReadFull(br, hdr[:4]); err != nil {
-				return eofOK(err, bw)
-			}
-			n = binary.BigEndian.Uint32(hdr[0:4])
-		}
-		if n > maxFrame {
-			bw.Flush()
-			return fmt.Errorf("%w: frame of %d bytes", errProtocol, n)
+			return eofOK(err, bw)
 		}
 		payload := scratch.grow(int(n))
 		if _, err := io.ReadFull(br, payload); err != nil {
@@ -575,44 +514,14 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 			// or try a replica, and the connection stays usable.
 			status, reply = statusErr, fmt.Appendf(scratch.reply[:0], "%v: request shed", ErrOverloaded)
 		} else {
-			status, reply = scratch.handle(h, base, payload, tagged)
+			status, reply = scratch.handle(h, op, payload)
 			if h.adm != nil {
 				h.adm.release()
 			}
 		}
 		scratch.reply = reply[:0]
-		if tagged {
-			if status == statusOK {
-				status = statusTaggedOK
-			} else {
-				status = statusTaggedErr
-			}
-			if len(reply) > maxReplyFrame {
-				bw.Flush()
-				return fmt.Errorf("%w: reply of %d bytes", errProtocol, len(reply))
-			}
-			var h [9]byte
-			h[0] = status
-			binary.BigEndian.PutUint32(h[1:5], tag)
-			binary.BigEndian.PutUint32(h[5:9], uint32(len(reply)))
-			if _, err = bw.Write(h[:]); err == nil {
-				_, err = bw.Write(reply)
-			}
-		} else {
-			if len(reply) > maxFrame {
-				// The untagged generation never learned to split
-				// replies; fail the connection as it always has.
-				bw.Flush()
-				return fmt.Errorf("%w: frame of %d bytes", errProtocol, len(reply))
-			}
-			var h [5]byte
-			h[0] = status
-			binary.BigEndian.PutUint32(h[1:5], uint32(len(reply)))
-			if _, err = bw.Write(h[:]); err == nil {
-				_, err = bw.Write(reply)
-			}
-		}
-		if err != nil {
+		if err := writeFrame(bw, status, tag, reply); err != nil {
+			bw.Flush()
 			return err
 		}
 		if br.Buffered() == 0 {
@@ -623,8 +532,8 @@ func serveConn(h connHost, conn io.ReadWriter, readTimeout time.Duration) error 
 	}
 }
 
-// eofOK flushes pending responses and maps a mid-frame disconnect to a
-// clean close, matching the untagged protocol's historic behaviour.
+// eofOK flushes pending responses and maps a disconnect, between or in
+// the middle of a frame, to a clean close.
 func eofOK(err error, bw *bufio.Writer) error {
 	bw.Flush()
 	if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -650,20 +559,4 @@ func serverErr(payload []byte) error {
 		return fmt.Errorf("taintmap: server error: %w%s", ErrOverloaded, payload[len(overMarker):])
 	}
 	return fmt.Errorf("taintmap: server error: %s", payload)
-}
-
-// roundTrip issues one untagged request and decodes the response — the
-// stop-and-wait client's engine.
-func roundTrip(conn io.ReadWriter, op byte, payload []byte) ([]byte, error) {
-	if err := writeFrame(conn, op, payload); err != nil {
-		return nil, fmt.Errorf("taintmap: send request: %w", err)
-	}
-	status, reply, err := readFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("taintmap: read response: %w", err)
-	}
-	if status != statusOK {
-		return nil, serverErr(reply)
-	}
-	return reply, nil
 }

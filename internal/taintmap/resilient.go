@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dista/internal/core/taint"
+	"dista/internal/netsim"
 )
 
 // This file implements the resilience layer around the Taint Map client
@@ -63,18 +64,6 @@ var (
 // every reconnect attempt.
 type DialFunc func() (io.ReadWriteCloser, error)
 
-// clock abstracts time for the backoff loop so tests can drive it with
-// a fake instead of sleeping.
-type clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // ResilientOptions tunes a ResilientClient. The zero value selects the
 // documented defaults; a negative CallTimeout or JitterFrac disables
 // that feature outright.
@@ -100,8 +89,9 @@ type ResilientOptions struct {
 	// Seed seeds the jitter generator; 0 uses a fixed default seed.
 	Seed int64
 
-	// clk injects a fake clock in tests; nil means real time.
-	clk clock
+	// clk times the backoff waits and the retry budget's refill; tests
+	// inject a netsim.VirtualClock. nil means the wall clock.
+	clk netsim.Clock
 	// memo injects a shared id -> taint cache; nil allocates a private
 	// one. The cluster client threads one memo through every member so a
 	// taint resolved via any replica is warm for all of them.
@@ -148,7 +138,7 @@ func (o *ResilientOptions) withDefaults() ResilientOptions {
 		opt.Seed = 1
 	}
 	if opt.clk == nil {
-		opt.clk = realClock{}
+		opt.clk = netsim.WallClock()
 	}
 	if opt.memo == nil {
 		opt.memo = &cache{}
@@ -331,7 +321,7 @@ func (c *ResilientClient) reconnectLoop(failures int) {
 		// by the watchdog) proves the server is answering. Skipped when
 		// deadlines are disabled — the probe itself could hang forever.
 		if c.opt.CallTimeout > 0 {
-			if _, err := rc.call(opStatsTag, nil); err != nil {
+			if _, err := rc.call(opStats, nil); err != nil {
 				rc.Close()
 				c.probeFailures.Add(1)
 				failures++
@@ -397,13 +387,25 @@ func (c *ResilientClient) maybeTrip(failures int) {
 // closed and the loop must exit.
 func (c *ResilientClient) sleep(attempt int) bool {
 	d := backoffDelay(attempt, c.opt.BackoffBase, c.opt.BackoffMax, c.opt.JitterFrac, c.rng)
+	if c.wait(d) {
+		return true
+	}
+	c.mu.Lock()
+	c.reconnecting = false
+	c.mu.Unlock()
+	return false
+}
+
+// wait blocks for d on the client's clock; false means the client
+// closed first.
+func (c *ResilientClient) wait(d time.Duration) bool {
+	fired := make(chan struct{})
+	t := c.opt.clk.AfterFunc(d, func() { close(fired) })
 	select {
-	case <-c.opt.clk.After(d):
+	case <-fired:
 		return true
 	case <-c.done:
-		c.mu.Lock()
-		c.reconnecting = false
-		c.mu.Unlock()
+		t.Stop()
 		return false
 	}
 }
@@ -547,9 +549,7 @@ func (c *ResilientClient) drainLoop() {
 				ok = false
 				return
 			}
-			select {
-			case <-c.opt.clk.After(c.opt.BackoffMax):
-			case <-c.done:
+			if !c.wait(c.opt.BackoffMax) {
 				ok = false
 				return
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -225,35 +224,13 @@ func TestResilientJournalBound(t *testing.T) {
 	}
 }
 
-// fakeClock records the delays the backoff loop requests and fires them
-// immediately, so the schedule is observable without sleeping.
-type fakeClock struct {
-	mu     sync.Mutex
-	delays []time.Duration
-}
-
-func (f *fakeClock) Now() time.Time { return time.Unix(0, 0) }
-
-func (f *fakeClock) After(d time.Duration) <-chan time.Time {
-	f.mu.Lock()
-	f.delays = append(f.delays, d)
-	f.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	ch <- time.Unix(0, 0)
-	return ch
-}
-
-func (f *fakeClock) snapshot() []time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]time.Duration(nil), f.delays...)
-}
-
 // TestBackoffScheduleWithFakeClock drives the reconnect loop against a
-// dial that always fails and a clock that records each requested delay:
-// the schedule must double from base to the cap and stay there.
+// dial that always fails, on a virtual clock: each backoff wait is the
+// clock's one pending timer, so advancing to it measures the delay the
+// loop asked for. The schedule must double from base to the cap and
+// stay there.
 func TestBackoffScheduleWithFakeClock(t *testing.T) {
-	clk := &fakeClock{}
+	clk := netsim.NewVirtualClock()
 	tree := taint.NewTree()
 	c := NewResilientClient(func() (io.ReadWriteCloser, error) {
 		return nil, errors.New("no route")
@@ -266,21 +243,27 @@ func TestBackoffScheduleWithFakeClock(t *testing.T) {
 	})
 	defer c.Close()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for len(clk.snapshot()) < 6 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	got := clk.snapshot()
-	if len(got) < 6 {
-		t.Fatalf("recorded only %d delays", len(got))
-	}
 	want := []time.Duration{
 		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
 		80 * time.Millisecond, 80 * time.Millisecond, 80 * time.Millisecond,
 	}
+	var got []time.Duration
+	deadline := time.Now().Add(10 * time.Second)
+	for len(got) < len(want) {
+		if clk.PendingTimers() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("recorded only %d delays: %v", len(got), got)
+			}
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		before := clk.Now()
+		clk.AdvanceToNext()
+		got = append(got, clk.Now().Sub(before))
+	}
 	for i, w := range want {
 		if got[i] != w {
-			t.Fatalf("delay %d = %v, want %v (schedule %v)", i, got[i], w, got[:len(want)])
+			t.Fatalf("delay %d = %v, want %v (schedule %v)", i, got[i], w, got)
 		}
 	}
 }

@@ -7,11 +7,11 @@
 //
 // The package provides the id-allocation Store, a request/response wire
 // protocol usable over any stream (netsim conns or real TCP), a Server,
-// and several Client implementations: Remote (multiplexed, over a
-// connection), Resilient (reconnecting, degraded-capable), Cluster
-// (partitioned + replicated across N servers), StopAndWait (serialized,
-// the legacy untagged protocol) and Local (in-process, for tests and
-// single-process simulations).
+// and the Client implementations a deployment or simulation runs:
+// Remote (multiplexed, over a connection), Resilient (reconnecting,
+// degraded-capable), Cluster (partitioned + replicated across N
+// servers) and Local (in-process, for tests and single-process
+// simulations).
 package taintmap
 
 import (

@@ -37,11 +37,8 @@ import (
 //	                 resilience layer (default options) on a fault-free
 //	                 network — measures the wrapper's overhead, which must
 //	                 stay within 1.10x of Mux8
-//	StopAndWait8   — 8 goroutines, one serialized request/response client
-//	                 (byte-identical to the pre-sharding RemoteClient —
-//	                 the in-run baseline the tentpole is measured against)
-//	UntaggedSingle — 1 goroutine, pure round-trip latency of the untagged
-//	                 ops (must stay unchanged within noise)
+//	Cluster8       — 8 goroutines, the cluster client over one plain
+//	                 server (see below)
 const (
 	benchClients = 8
 	benchHotN    = 64
@@ -166,25 +163,6 @@ func BenchmarkTaintMapConcurrent(b *testing.B) {
 			tree, taintmap.ResilientOptions{})
 		defer client.Close()
 		runMixed(b, env, client, tree, benchClients)
-	})
-	b.Run("StopAndWait8", func(b *testing.B) {
-		env := newTMBenchEnv(b)
-		tree := taint.NewTree()
-		client := taintmap.NewStopAndWaitClient(env.dial(b), tree)
-		defer client.Close()
-		runMixed(b, env, client, tree, benchClients)
-	})
-	b.Run("UntaggedSingle", func(b *testing.B) {
-		env := newTMBenchEnv(b)
-		tree := taint.NewTree()
-		client := taintmap.NewStopAndWaitClient(env.dial(b), tree)
-		defer client.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := client.Register(tree.NewSource(fmt.Sprintf("lat-%d", i), "bench:1")); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 	// Cluster8 is the tentpole's latency criterion: the ClusterClient
 	// pointed at ONE standalone server over the same loopback TCP and
