@@ -3,7 +3,7 @@ GO ?= go
 # Hot-path benchmark selection shared by `bench` and the A/B harness.
 BENCH_RE := BenchmarkHotPath|BenchmarkTaintMap$$|BenchmarkWireCodec|BenchmarkTaintCombine
 
-.PHONY: build test race race-taintmap vet lint check ci chaos bench bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke
+.PHONY: build test race race-taintmap vet lint check ci chaos bench bench-hotpath bench-taintmap bench-resilience bench-distavet bench-cleanpath bench-cluster bench-grayfail bench-load soak-load fuzz fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,14 @@ race-taintmap:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test and test Go line totals over the tracked files (testdata
+# corpora excluded; stage new files first). Run it on both sides of a
+# change: the difference of the non-test totals is the change's net
+# non-test Go lines.
+loc:
+	@printf 'non-test Go lines: %s\n' "$$(git ls-files -z -- '*.go' ':(exclude)*_test.go' ':(exclude)**/testdata/**' | xargs -0 cat | wc -l)"
+	@printf 'test Go lines:     %s\n' "$$(git ls-files -z -- '*_test.go' ':(exclude)**/testdata/**' | xargs -0 cat | wc -l)"
 
 # distavet: the in-tree static-analysis suite (internal/analysis) that
 # enforces the taint-soundness invariants — shadowdrop, labelcopy,
@@ -66,9 +74,10 @@ bench-taintmap:
 	$(GO) test -run=NONE -bench='BenchmarkTaintMapConcurrent/Mux8$$' -benchmem -benchtime=1s -count=5 . | tee bench_taintmap.txt
 	$(GO) run ./cmd/benchjson -in bench_taintmap.txt -out BENCH_2.json
 
-# Measure the resilience wrapper's fault-free overhead: ResilientClient
-# vs the bare multiplexed client on the same mixed workload, refreshed
-# into BENCH_3.json. The acceptance criterion is an in-run ratio
+# Measure the resilience layer's fault-free overhead: the single-address
+# client (DialClusterAddrs with one address, a one-member ring) vs the
+# bare multiplexed client on the same mixed workload, refreshed into
+# BENCH_3.json. The acceptance criterion is an in-run ratio
 # (Resilient8 <= 1.10x Mux8), so host drift cancels out.
 bench-resilience:
 	$(GO) test -run=NONE -bench='BenchmarkTaintMapConcurrent/(Mux8|Resilient8)$$' -benchmem -benchtime=1s -count=5 . | tee bench_resilience.txt

@@ -76,15 +76,13 @@ func startGrayCluster(b *testing.B) (*netsim.Network, *taintmap.Ring) {
 // probes are never denied (the bench measures latency, not starvation).
 func grayLookupOpts() taintmap.ClusterOptions {
 	return taintmap.ClusterOptions{
-		Resilient: taintmap.ResilientOptions{
-			CallTimeout:      grayCallTO,
-			BackoffBase:      time.Millisecond,
-			BackoffMax:       50 * time.Millisecond,
-			BreakerThreshold: 2,
-		},
-		HedgeDelay:  grayHedgeInit,
-		BudgetRate:  1000,
-		BudgetBurst: 2000,
+		CallTimeout:      grayCallTO,
+		BackoffBase:      time.Millisecond,
+		BackoffMax:       50 * time.Millisecond,
+		BreakerThreshold: 2,
+		HedgeDelay:       grayHedgeInit,
+		BudgetRate:       1000,
+		BudgetBurst:      2000,
 	}
 }
 
@@ -146,7 +144,7 @@ func benchGrayLookup(b *testing.B, stall bool) {
 	}
 	if stall {
 		deadline := time.Now().Add(grayTripWait)
-		for !reader.Healths()[0].Degraded {
+		for !reader.Health().Members[0].Degraded {
 			if time.Now().After(deadline) {
 				b.Fatal("stalled member never tripped the breaker")
 			}

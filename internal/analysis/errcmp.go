@@ -10,7 +10,7 @@ import (
 // ErrCmp enforces the typed-error discipline introduced with the
 // resilience layer (taintmap.ErrDegraded, ErrCallTimeout, …): package
 // sentinel errors must be matched with errors.Is, never ==/!=. The
-// resilient client wraps sentinels (ErrJournalFull wraps ErrDegraded,
+// resilience layer wraps sentinels (ErrJournalFull wraps ErrDegraded,
 // call errors carry %w chains), so an identity comparison silently
 // stops matching the moment a wrap is added — exactly the regression
 // class errors.Is exists for. Comparisons against io sentinels

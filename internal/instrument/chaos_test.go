@@ -51,15 +51,18 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 	// resolves against the shared store directly, so any Global ID that
 	// made it onto the wire is resolvable.
 	senderAgent := tracker.New("n1", tracker.ModeDista)
-	client := taintmap.NewResilientClient(
-		func() (io.ReadWriteCloser, error) { return net.DialFrom("n1", "tm:chaos") },
+	client, err := taintmap.DialClusterAddrs([]string{"tm:chaos"},
+		func(addr string) (io.ReadWriteCloser, error) { return net.DialFrom("n1", addr) },
 		senderAgent.Tree(),
-		taintmap.ResilientOptions{
+		taintmap.ClusterOptions{
 			CallTimeout:      200 * time.Millisecond,
 			BackoffBase:      time.Millisecond,
 			BackoffMax:       10 * time.Millisecond,
 			BreakerThreshold: 2,
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer client.Close()
 	senderAgent = tracker.New("n1", tracker.ModeDista,
 		tracker.WithTaintMap(client), tracker.WithLocalID(senderAgent.LocalID()))
@@ -151,10 +154,10 @@ func TestChaosPassthroughNoCleanDowngrade(t *testing.T) {
 			// Wait out the backoff so the back half of the run exercises
 			// the recovered path, not just the outage.
 			deadline := time.Now().Add(10 * time.Second)
-			for !client.Health().Connected && time.Now().Before(deadline) {
+			for !client.Health().Members[0].Connected && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			if !client.Health().Connected {
+			if !client.Health().Members[0].Connected {
 				t.Fatal("client never reconnected after server restart")
 			}
 		}

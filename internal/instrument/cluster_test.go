@@ -14,40 +14,107 @@ import (
 )
 
 // TestDialTaintMapSingle wires the one-address agent-args form: the
-// degenerate deployment must get the plain resilient single-server
-// client, not a routing layer over a ring of one.
+// client routes on the one-member ring {Part: 0} at RF 1, built without
+// asking the server for a ring. The address may name a standalone
+// server or one member of a cluster. Member 1 of a two-member RF-1
+// cluster mints ids under partition 1, which that ring does not list,
+// so memo-cold lookups must route every partition to the lone member.
 func TestDialTaintMapSingle(t *testing.T) {
-	network := netsim.New()
-	srv, err := taintmap.StartSimServer(network, "tm:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	for _, tc := range []struct {
+		name, addr string
+		part       uint32 // partition the server mints ids under
+		start      func(*netsim.Network) ([]*taintmap.Server, error)
+	}{
+		{"standalone", "tm:1", 0, func(n *netsim.Network) ([]*taintmap.Server, error) {
+			srv, err := taintmap.StartSimServer(n, "tm:1")
+			return []*taintmap.Server{srv}, err
+		}},
+		{"cluster-member", "tm1:1", 1, func(n *netsim.Network) ([]*taintmap.Server, error) {
+			servers, _, err := taintmap.StartSimCluster(n, 2, 1)
+			return servers, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			network := netsim.New()
+			servers, err := tc.start(network)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, s := range servers {
+					s.Close()
+				}
+			}()
+			args, err := tracker.ParseAgentArgs("mode=dista,taintmap=" + tc.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dial := func(local string) func(string) (io.ReadWriteCloser, error) {
+				return func(addr string) (io.ReadWriteCloser, error) { return network.DialFrom(local, addr) }
+			}
 
-	args, err := tracker.ParseAgentArgs("mode=dista,taintmap=tm:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := taint.NewTree()
-	client, err := DialTaintMap(args, tree, func(addr string) (io.ReadWriteCloser, error) {
-		return network.DialFrom("agent:1", addr)
-	}, taintmap.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, ok := client.(*taintmap.ResilientClient); !ok {
-		t.Fatalf("single-address client is %T, want *taintmap.ResilientClient", client)
-	}
+			tree := taint.NewTree()
+			writer, err := DialTaintMap(args, tree, dial("agent:1"), taintmap.ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer writer.Close()
+			cc, ok := writer.(*taintmap.ClusterClient)
+			if !ok {
+				t.Fatalf("single-address client is %T, want *taintmap.ClusterClient", writer)
+			}
+			if r := cc.Ring(); r.RF != 1 || len(r.Members()) != 1 || r.Members()[0] != (taintmap.Member{Part: 0, Addr: tc.addr}) {
+				t.Fatalf("single-address ring = RF %d, members %v; want RF 1, {0 %s}", r.RF, r.Members(), tc.addr)
+			}
 
-	src := tree.NewSource("single", "agent:1")
-	id, err := client.Register(src)
-	if err != nil || id == 0 {
-		t.Fatalf("Register = %d, %v", id, err)
-	}
-	got, err := client.Lookup(id)
-	if err != nil || !sameTaint(got, src) {
-		t.Fatalf("Lookup(%d) = %v, %v; want the registered taint", id, got, err)
+			srcs := make([]taint.Taint, 8)
+			for i := range srcs {
+				srcs[i] = tree.NewSource(fmt.Sprintf("single-%d", i), "agent:1")
+			}
+			ids := make([]uint32, len(srcs))
+			for i, src := range srcs[:4] {
+				if ids[i], err = writer.Register(src); err != nil {
+					t.Fatalf("Register %d: %v", i, err)
+				}
+			}
+			batch, err := writer.RegisterBatch(srcs[4:])
+			if err != nil {
+				t.Fatalf("RegisterBatch: %v", err)
+			}
+			copy(ids[4:], batch)
+			for i, id := range ids {
+				if id == 0 || taintmap.IsProvisional(id) || taintmap.PartitionOf(id) != tc.part {
+					t.Fatalf("id %d = %#x, want a real partition-%d id", i, id, tc.part)
+				}
+			}
+
+			// Fresh clients, so the memo cannot answer.
+			reader, err := DialTaintMap(args, taint.NewTree(), dial("agent:2"), taintmap.ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reader.Close()
+			for i, id := range ids {
+				got, err := reader.Lookup(id)
+				if err != nil || !sameTaint(got, srcs[i]) {
+					t.Fatalf("Lookup(%#x) = %v, %v; want taint %d back", id, got, err, i)
+				}
+			}
+			batchReader, err := DialTaintMap(args, taint.NewTree(), dial("agent:3"), taintmap.ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer batchReader.Close()
+			got, err := batchReader.LookupBatch(ids)
+			if err != nil {
+				t.Fatalf("LookupBatch: %v", err)
+			}
+			for i := range ids {
+				if !sameTaint(got[i], srcs[i]) {
+					t.Fatalf("LookupBatch slot %d = %v; want taint %d back", i, got[i], i)
+				}
+			}
+		})
 	}
 }
 

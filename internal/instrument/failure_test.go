@@ -115,21 +115,24 @@ func TestTaintMapOutageFailsLoudly(t *testing.T) {
 }
 
 // TestDegradedTaintMapRefusesTransferKeepsTracking: with the Taint Map
-// unreachable and the resilient client degraded, a cross-node send of a
-// freshly tainted payload must fail with the typed ErrGlobalIDPending —
-// the taint exists, its Global ID is provisional — while intra-node
-// tracking of that same taint keeps working.
+// unreachable and the client's one member degraded, a cross-node send
+// of a freshly tainted payload must fail with the typed
+// ErrGlobalIDPending — the taint exists, its Global ID is provisional —
+// while intra-node tracking of that same taint keeps working.
 func TestDegradedTaintMapRefusesTransferKeepsTracking(t *testing.T) {
 	r := newRig(t, tracker.ModeDista)
 	a := tracker.New("n1", tracker.ModeDista)
-	client := taintmap.NewResilientClient(
-		func() (io.ReadWriteCloser, error) { return nil, errors.New("no route to taint map") },
+	client, err := taintmap.DialClusterAddrs([]string{"tm:1"},
+		func(string) (io.ReadWriteCloser, error) { return nil, errors.New("no route to taint map") },
 		a.Tree(),
-		taintmap.ResilientOptions{
+		taintmap.ClusterOptions{
 			BackoffBase:      time.Millisecond,
 			BackoffMax:       5 * time.Millisecond,
 			BreakerThreshold: 1,
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer client.Close()
 	agent := tracker.New("n1", tracker.ModeDista, tracker.WithTaintMap(client))
 
@@ -138,7 +141,7 @@ func TestDegradedTaintMapRefusesTransferKeepsTracking(t *testing.T) {
 	sender := NewEndpoint(agent, ca)
 
 	tag := agent.Tree().NewSource("secret", "n1:1")
-	err := sender.Write(taint.FromString("x", tag))
+	err = sender.Write(taint.FromString("x", tag))
 	if !errors.Is(err, taintmap.ErrGlobalIDPending) {
 		t.Fatalf("degraded-mode send = %v, want ErrGlobalIDPending", err)
 	}

@@ -59,8 +59,8 @@ func (e *chaosEnv) kill() {
 	srv.Close()
 }
 
-func (e *chaosEnv) chaosOpts() ResilientOptions {
-	return ResilientOptions{
+func (e *chaosEnv) chaosOpts() ClusterOptions {
+	return ClusterOptions{
 		CallTimeout:      200 * time.Millisecond,
 		BackoffBase:      time.Millisecond,
 		BackoffMax:       10 * time.Millisecond,
@@ -92,7 +92,7 @@ func TestChaosServerRestartUnderLoad(t *testing.T) {
 	defer e.kill()
 
 	tree := taint.NewTree()
-	client := NewResilientClient(simDialer(e.net, "app:1", "tm:chaos"), tree, e.chaosOpts())
+	client := dialSingle(t, "tm:chaos", simDialer(e.net, "app:1"), tree, e.chaosOpts())
 	defer client.Close()
 
 	const goroutines = 8
@@ -201,7 +201,7 @@ func TestChaosServerRestartUnderLoad(t *testing.T) {
 		// backoff loop dials).
 		deadline = time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
-			if h := client.Health(); h.Connected && h.JournalLen == 0 {
+			if h := client.Health().Members[0]; h.Connected && h.JournalLen == 0 {
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -292,7 +292,7 @@ func TestChaosServerRestartUnderLoad(t *testing.T) {
 
 // TestChaosStreamResets runs the register workload under random
 // connection resets (every write has a 1%% chance of killing its
-// connection): the resilient client must absorb every reset and the
+// connection): the single-address client must absorb every reset and the
 // final state must be exactly as consistent as a fault-free run.
 func TestChaosStreamResets(t *testing.T) {
 	e := newChaosEnv(t)
@@ -300,7 +300,7 @@ func TestChaosStreamResets(t *testing.T) {
 	e.net.Reseed(7)
 
 	tree := taint.NewTree()
-	client := NewResilientClient(simDialer(e.net, "app:1", "tm:chaos"), tree, e.chaosOpts())
+	client := dialSingle(t, "tm:chaos", simDialer(e.net, "app:1"), tree, e.chaosOpts())
 	defer client.Close()
 
 	e.net.SetStreamResetRate(0.01)

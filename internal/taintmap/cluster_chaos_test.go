@@ -35,13 +35,11 @@ func TestChaosClusterPartitionKill(t *testing.T) {
 	e := newClusterEnv(t, 3, 2)
 	tree := taint.NewTree()
 	c, err := DialSimCluster(e.net, "app:1", e.ring, tree, ClusterOptions{
-		Resilient: ResilientOptions{
-			CallTimeout:      200 * time.Millisecond,
-			BackoffBase:      time.Millisecond,
-			BackoffMax:       10 * time.Millisecond,
-			BreakerThreshold: 2,
-			JournalLimit:     1 << 15,
-		},
+		CallTimeout:      200 * time.Millisecond,
+		BackoffBase:      time.Millisecond,
+		BackoffMax:       10 * time.Millisecond,
+		BreakerThreshold: 2,
+		JournalLimit:     1 << 15,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +147,7 @@ func TestChaosClusterPartitionKill(t *testing.T) {
 		e.net.Heal(host, "*")
 		deadline = time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
-			h := c.Healths()[uint32(round)]
+			h := c.Health().Members[uint32(round)]
 			if h.Connected && !h.Degraded && h.JournalLen == 0 {
 				return
 			}
@@ -176,7 +174,7 @@ func TestChaosClusterPartitionKill(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		all := true
-		for part, h := range c.Healths() {
+		for part, h := range c.Health().Members {
 			if !h.Connected || h.Degraded || h.JournalLen != 0 {
 				all = false
 				if !time.Now().Before(deadline) {

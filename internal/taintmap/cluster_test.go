@@ -132,6 +132,14 @@ func TestRingOwnershipAndReplicas(t *testing.T) {
 	if len(got) != 2 || got[0] != 3 || got[1] != 0 {
 		t.Fatalf("Replicas of departed partition = %v", got)
 	}
+	// A one-member ring (a standalone address) holds every partition.
+	single, err := NewRing(1, 1, members[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := single.Replicas(1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("one-member ring Replicas(1) = %v, want [0]", got)
+	}
 
 	// Wire roundtrip survives parse -> encode -> parse.
 	enc := appendRing(nil, r)
@@ -551,7 +559,7 @@ func TestClusterReadRepairDivergence(t *testing.T) {
 	// now serves every id.
 	e.kill(0)
 	c3 := e.client("app:3", ClusterOptions{
-		Resilient: ResilientOptions{BreakerThreshold: 1},
+		BreakerThreshold: 1,
 	})
 	for _, id := range ids {
 		tt, err := c3.Lookup(id)

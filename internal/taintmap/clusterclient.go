@@ -14,9 +14,10 @@ import (
 	"dista/internal/netsim"
 )
 
-// ClusterClient is a Client over a partitioned, replicated Taint Map:
-// one handle that makes N taintmapd instances look like the single
-// logical map the rest of the tracker was written against.
+// ClusterClient is the remote Taint Map client: one handle that makes N
+// taintmapd instances look like the single logical map the rest of the
+// tracker was written against. A standalone server is the one-member
+// ring (see DialClusterAddrs).
 //
 // Routing is stateless on both axes. Registrations hash the serialized
 // taint (the blobs are content-addressed, so the hash is stable across
@@ -27,7 +28,7 @@ import (
 // through on a replica that does not (yet) hold the id, and pushes the
 // entries back to such replicas once resolved (read-repair).
 //
-// Every member is fronted by its own ResilientClient, so the PR 3
+// Every member carries its own resilience state (resilient.go), so the
 // failure machinery applies per partition: a dead member's traffic
 // journals against a partition-local store (provisional ids carry the
 // partition that will own them) and drains when the member returns,
@@ -38,7 +39,7 @@ type ClusterClient struct {
 	tree *taint.Tree
 	dial func(addr string) (io.ReadWriteCloser, error)
 	opt  ClusterOptions
-	memo *cache // shared by every member client
+	memo *cache // shared by every member
 
 	ring atomic.Pointer[Ring]
 
@@ -70,11 +71,32 @@ type ClusterClient struct {
 
 var _ Client = (*ClusterClient)(nil)
 
-// ClusterOptions tunes a ClusterClient.
+// ClusterOptions tunes a ClusterClient. The zero value selects the
+// documented defaults; a negative CallTimeout or JitterFrac disables
+// that feature outright.
 type ClusterOptions struct {
-	// Resilient configures each member's resilience layer (defaults as
-	// in ResilientOptions).
-	Resilient ResilientOptions
+	// CallTimeout bounds every wire call. Default 2s; negative disables
+	// per-call deadlines.
+	CallTimeout time.Duration
+	// BackoffBase is the first reconnect delay. Default 5ms.
+	BackoffBase time.Duration
+	// BackoffMax caps the doubling backoff. Default 1s. Once degraded,
+	// this is the probe cadence for detecting a healed server.
+	BackoffMax time.Duration
+	// JitterFrac spreads each delay uniformly in ±frac around the
+	// schedule so a fleet of clients does not reconnect in lockstep.
+	// Default 0.2; negative disables jitter (deterministic schedule).
+	JitterFrac float64
+	// BreakerThreshold is how many consecutive failed reconnect
+	// attempts trip a member's circuit breaker into degraded mode.
+	// Default 3.
+	BreakerThreshold int
+	// JournalLimit bounds each member's degraded-mode store-and-forward
+	// journal; registrations past it fail with ErrJournalFull. Default
+	// 4096.
+	JournalLimit int
+	// Seed seeds the jitter generator; 0 uses a fixed default seed.
+	Seed int64
 
 	// HedgeDelay is the initial replica-lookup hedge delay: how long the
 	// first attempt may run before the next replica is raced against it.
@@ -86,7 +108,7 @@ type ClusterOptions struct {
 
 	// OpTimeout bounds one whole lookup operation — all replica
 	// attempts and hedges together. Zero means no operation deadline
-	// (each attempt is still bounded by Resilient.CallTimeout).
+	// (each attempt is still bounded by CallTimeout).
 	OpTimeout time.Duration
 
 	// BudgetRate and BudgetBurst configure the shared retry budget in
@@ -95,10 +117,42 @@ type ClusterOptions struct {
 	// defaults (50/s, burst 100); negative disables budgeting.
 	BudgetRate  float64
 	BudgetBurst float64
+
+	// clk times the backoff waits, the hedge timer and the retry
+	// budget's refill; tests inject a netsim.VirtualClock. nil means the
+	// wall clock.
+	clk netsim.Clock
 }
 
-// withClusterDefaults fills the zero values in.
-func (o ClusterOptions) withClusterDefaults() ClusterOptions {
+// withDefaults fills the zero values in.
+func (o ClusterOptions) withDefaults() ClusterOptions {
+	switch {
+	case o.CallTimeout == 0:
+		o.CallTimeout = 2 * time.Second
+	case o.CallTimeout < 0:
+		o.CallTimeout = 0
+	}
+	if o.BackoffBase <= 0 {
+		o.BackoffBase = 5 * time.Millisecond
+	}
+	if o.BackoffMax <= 0 {
+		o.BackoffMax = time.Second
+	}
+	switch {
+	case o.JitterFrac == 0:
+		o.JitterFrac = 0.2
+	case o.JitterFrac < 0:
+		o.JitterFrac = 0
+	}
+	if o.BreakerThreshold <= 0 {
+		o.BreakerThreshold = 3
+	}
+	if o.JournalLimit <= 0 {
+		o.JournalLimit = 4096
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
 	if o.HedgeDelay == 0 {
 		o.HedgeDelay = 20 * time.Millisecond
 	}
@@ -108,31 +162,38 @@ func (o ClusterOptions) withClusterDefaults() ClusterOptions {
 	if o.BudgetBurst == 0 {
 		o.BudgetBurst = 100
 	}
-	if o.Resilient.clk == nil {
-		o.Resilient.clk = netsim.WallClock()
+	if o.clk == nil {
+		o.clk = netsim.WallClock()
 	}
 	return o
 }
 
-// DialClusterAddrs builds a Client from a flat endpoint list — the form
-// a deployment writes in its agent args, where the addresses are known
-// but the partition layout is the cluster's own business. One address
-// is the degenerate deployment and gets the plain single-server
-// resilient client (no routing layer to pay for). Several addresses
-// bootstrap a ClusterClient: the ring (partition indices, replication
-// factor, any members missing from the list) is fetched from the first
-// address that answers, so the list only has to name enough live
-// members to find the cluster, not describe it.
-func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ClusterOptions) (Client, error) {
-	switch len(addrs) {
-	case 0:
+// DialClusterAddrs builds the client from a flat endpoint list — the
+// form a deployment writes in its agent args, where the addresses are
+// known but the partition layout is the cluster's own business (see
+// bootstrapRing). Construction never fails once the ring is known: a
+// member that is down starts reconnecting.
+func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ClusterOptions) (*ClusterClient, error) {
+	if len(addrs) == 0 {
 		return nil, errors.New("taintmap: no taint map addresses")
-	case 1:
-		addr := addrs[0]
-		opt = opt.withClusterDefaults()
-		ropt := opt.Resilient
-		ropt.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, ropt.clk)
-		return NewResilientClient(func() (io.ReadWriteCloser, error) { return dial(addr) }, tree, ropt), nil
+	}
+	ring, err := bootstrapRing(addrs, dial)
+	if err != nil {
+		return nil, err
+	}
+	return NewClusterClient(ring, dial, tree, opt)
+}
+
+// bootstrapRing finds the ring the client routes on. One address is a
+// standalone server: the one-member ring {Part: 0, Addr: addr} at RF 1,
+// built without a round trip so the server may still be down. Several
+// addresses name cluster members: the ring (partition indices,
+// replication factor, any members missing from the list) is fetched
+// from the first address that answers, so the list only has to name
+// enough live members to find the cluster, not describe it.
+func bootstrapRing(addrs []string, dial func(addr string) (io.ReadWriteCloser, error)) (*Ring, error) {
+	if len(addrs) == 1 {
+		return NewRing(1, 1, []Member{{Part: 0, Addr: addrs[0]}})
 	}
 	var lastErr error
 	for _, addr := range addrs {
@@ -141,7 +202,7 @@ func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser
 			lastErr = err
 			continue
 		}
-		rc := NewRemoteClient(conn, tree)
+		rc := NewRemoteClient(conn, nil)
 		reply, err := rc.call(opRing, nil)
 		rc.Close()
 		if err != nil {
@@ -153,23 +214,16 @@ func DialClusterAddrs(addrs []string, dial func(addr string) (io.ReadWriteCloser
 			lastErr = err
 			continue
 		}
-		return NewClusterClient(ring, dial, tree, opt)
+		return ring, nil
 	}
 	return nil, fmt.Errorf("taintmap: cluster bootstrap from %d addresses: %w", len(addrs), lastErr)
-}
-
-// clusterMember is one ring member's client handle.
-type clusterMember struct {
-	part uint32
-	addr string
-	rc   *ResilientClient
 }
 
 // NewClusterClient builds a client over the given membership. dial
 // opens a connection to a member address; it is called per member and
 // again on every reconnect.
 func NewClusterClient(ring *Ring, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ClusterOptions) (*ClusterClient, error) {
-	opt = opt.withClusterDefaults()
+	opt = opt.withDefaults()
 	c := &ClusterClient{
 		tree:    tree,
 		dial:    dial,
@@ -177,12 +231,12 @@ func NewClusterClient(ring *Ring, dial func(addr string) (io.ReadWriteCloser, er
 		memo:    &cache{},
 		members: make(map[uint32]*clusterMember),
 	}
-	c.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, opt.Resilient.clk)
+	c.budget = newBudgetClock(opt.BudgetRate, opt.BudgetBurst, opt.clk)
 	c.ring.Store(ring)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range ring.Members() {
-		if _, err := c.addMemberLocked(m); err != nil {
+		if err := c.addMemberLocked(m); err != nil {
 			return nil, err
 		}
 	}
@@ -200,23 +254,16 @@ func (c *ClusterClient) publishLocked() {
 	c.table.Store(&t)
 }
 
-// addMemberLocked creates the client handle for one member: a
-// ResilientClient sharing the cluster-wide memo, journaling against a
-// store of the member's own partition. Caller holds c.mu.
-func (c *ClusterClient) addMemberLocked(m Member) (*clusterMember, error) {
+// addMemberLocked creates the state for one member, sharing the
+// cluster-wide memo and budget and journaling against a store of the
+// member's own partition. Caller holds c.mu.
+func (c *ClusterClient) addMemberLocked(m Member) error {
 	local, err := NewPartitionStore(m.Part)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ropt := c.opt.Resilient
-	ropt.memo = c.memo
-	ropt.local = local
-	ropt.budget = c.budget
-	addr := m.Addr
-	rc := NewResilientClient(func() (io.ReadWriteCloser, error) { return c.dial(addr) }, c.tree, ropt)
-	cm := &clusterMember{part: m.Part, addr: m.Addr, rc: rc}
-	c.members[m.Part] = cm
-	return cm, nil
+	c.members[m.Part] = newClusterMember(m, c.dial, c.tree, &c.opt, c.memo, local, c.budget)
+	return nil
 }
 
 // member returns the handle for a partition, nil when the partition has
@@ -253,17 +300,14 @@ func (c *ClusterClient) UpdateRing(r *Ring) error {
 	}
 	for _, m := range r.Members() {
 		cm := c.members[m.Part]
-		if cm == nil {
-			if _, err := c.addMemberLocked(m); err != nil {
-				return err
-			}
+		if cm != nil && cm.addr == m.Addr {
 			continue
 		}
-		if cm.addr != m.Addr {
-			cm.rc.Close()
-			if _, err := c.addMemberLocked(m); err != nil {
-				return err
-			}
+		if cm != nil {
+			cm.close()
+		}
+		if err := c.addMemberLocked(m); err != nil {
+			return err
 		}
 	}
 	c.publishLocked()
@@ -271,18 +315,27 @@ func (c *ClusterClient) UpdateRing(r *Ring) error {
 	return nil
 }
 
+// handles snapshots the member set.
+func (c *ClusterClient) handles() []*clusterMember {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*clusterMember, 0, len(c.members))
+	for _, cm := range c.members {
+		out = append(out, cm)
+	}
+	return out
+}
+
 // Refresh fetches the ring from the first member that answers and
 // installs it — how a client learns that a server joined.
 func (c *ClusterClient) Refresh() (*Ring, error) {
-	c.mu.Lock()
-	handles := make([]*clusterMember, 0, len(c.members))
-	for _, cm := range c.members {
-		handles = append(handles, cm)
-	}
-	c.mu.Unlock()
 	var lastErr error = ErrDegraded
-	for _, cm := range handles {
-		reply, err := cm.rc.rawCall(opRing, nil)
+	for _, cm := range c.handles() {
+		var reply []byte
+		err := cm.live(func(rc *RemoteClient) (e error) {
+			reply, e = rc.call(opRing, nil)
+			return e
+		})
 		if err != nil {
 			lastErr = err
 			continue
@@ -318,12 +371,12 @@ func (c *ClusterClient) Register(t taint.Taint) (uint32, error) {
 	if cm == nil {
 		return 0, fmt.Errorf("%w: no member for owner partition", ErrDegraded)
 	}
-	id, err := cm.rc.registerMarshaled(t, blob)
+	id, err := cm.register(t, blob)
 	if err != nil && errors.Is(err, ErrOverloaded) {
 		// The owner is shedding load, not down: fall into that
 		// partition's journaled degraded mode instead of failing the
 		// caller — the provisional id remaps when the drain replays it.
-		return cm.rc.journalFallback(t, blob)
+		return cm.journalFallback(t, blob)
 	}
 	return id, err
 }
@@ -346,39 +399,19 @@ func (c *ClusterClient) Lookup(id uint32) (taint.Taint, error) {
 		if cm == nil {
 			return taint.Taint{}, fmt.Errorf("%w: provisional id %d of unknown member", ErrDegraded, id)
 		}
-		return cm.rc.Lookup(id)
-	}
-	cms := c.replicaOrder(part)
-	if len(cms) == 0 {
-		return taint.Taint{}, fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
-	}
-	if len(cms) == 1 || c.opt.HedgeDelay < 0 {
-		// Single replica, or hedging disabled: sequential rotation with
-		// each member's full resilience machinery, as before hedging.
-		var stale []*clusterMember
-		lastErr := error(ErrDegraded)
-		for _, cm := range cms {
-			t, err := cm.rc.Lookup(id)
-			if err == nil {
-				c.repairTo(stale, []uint32{id}, []taint.Taint{t})
-				return t, nil
-			}
-			lastErr = err
-			if errors.Is(err, ErrUnknownGlobalID) {
-				// This replica is missing the entry, not down: remember
-				// it for read-repair once another replica resolves it.
-				stale = append(stale, cm)
-			}
-		}
-		return taint.Taint{}, lastErr
+		return cm.lookup(id)
 	}
 	var got atomic.Pointer[taint.Taint]
-	stale, err := c.hedgedCall(cms, func(cm *clusterMember, deadline time.Time) error {
-		t, e := cm.rc.lookupAttempt(id, deadline)
-		if e == nil {
+	keep := func(t taint.Taint, err error) error {
+		if err == nil {
 			got.Store(&t)
 		}
-		return e
+		return err
+	}
+	stale, err := c.readReplicas(part, func(cm *clusterMember) error {
+		return keep(cm.lookup(id))
+	}, func(cm *clusterMember, deadline time.Time) error {
+		return cm.live(func(rc *RemoteClient) error { return keep(rc.lookupDeadline(id, deadline)) })
 	})
 	if err != nil {
 		return taint.Taint{}, err
@@ -402,6 +435,41 @@ func (c *ClusterClient) replicaOrder(part uint32) []*clusterMember {
 	return cms
 }
 
+// readReplicas runs one read against part's replicas and returns the
+// replicas that answered ErrUnknownGlobalID, for read-repair. A single
+// replica, or hedging disabled, reads through fallThrough with each
+// member's full waiting machinery (wait); otherwise the replicas race
+// fail-fast attempts (attempt) under hedgedCall.
+func (c *ClusterClient) readReplicas(part uint32, wait func(cm *clusterMember) error, attempt func(cm *clusterMember, deadline time.Time) error) ([]*clusterMember, error) {
+	cms := c.replicaOrder(part)
+	if len(cms) == 0 {
+		return nil, fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
+	}
+	if len(cms) == 1 || c.opt.HedgeDelay < 0 {
+		return fallThrough(cms, wait)
+	}
+	return c.hedgedCall(cms, attempt)
+}
+
+// fallThrough tries the replicas in order until one answers: the
+// sequential rotation hedging replaces. A replica missing the entry
+// (ErrUnknownGlobalID) is not down; it is returned for read-repair once
+// another replica resolves the read.
+func fallThrough(cms []*clusterMember, call func(cm *clusterMember) error) (stale []*clusterMember, err error) {
+	lastErr := error(ErrDegraded)
+	for _, cm := range cms {
+		err := call(cm)
+		if err == nil {
+			return stale, nil
+		}
+		lastErr = err
+		if errors.Is(err, ErrUnknownGlobalID) {
+			stale = append(stale, cm)
+		}
+	}
+	return stale, lastErr
+}
+
 // hedgeWarmup is the observation count below which the latency
 // histogram is considered too sparse to trust and the configured
 // initial hedge delay is used instead.
@@ -421,19 +489,22 @@ func (c *ClusterClient) hedgeDelay() time.Duration {
 
 // hedgedCall runs one fail-fast attempt (the call closure) against the
 // replicas in order, hedging: the first attempt runs alone until the
-// tracked p99 elapses, then — if the retry budget grants a token — the
-// next replica is raced against it and the first success wins. A
-// *failed* attempt falls through to the next replica immediately and
-// for free; that is rotation, not hedging, and charging it would let a
-// dead replica drain the budget. Losing attempts are abandoned (their
-// goroutines park on the member's own call timeout and deliver into a
-// buffered channel), and replicas that answered ErrUnknownGlobalID are
-// returned for read-repair.
+// tracked p99 elapses on the client's clock, then — if the retry budget
+// grants a token — the next replica is raced against it and the first
+// success wins. A *failed* attempt falls through to the next replica
+// immediately and for free; that is rotation, not hedging, and charging
+// it would let a dead replica drain the budget. Losing attempts are
+// abandoned (their goroutines park on the member's own call timeout and
+// deliver into a buffered channel), and replicas that answered
+// ErrUnknownGlobalID are returned for read-repair. The OpTimeout
+// deadline stays on the wall clock: the connection's watchdog compares
+// it against time.Now.
 func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMember, deadline time.Time) error) (stale []*clusterMember, err error) {
 	var deadline time.Time
 	if c.opt.OpTimeout > 0 {
 		deadline = time.Now().Add(c.opt.OpTimeout)
 	}
+	clk := c.opt.clk
 	type outcome struct {
 		cm     *clusterMember
 		err    error
@@ -447,17 +518,18 @@ func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMe
 		next++
 		inflight++
 		go func() {
-			start := time.Now()
+			start := clk.Now()
 			e := call(cm, deadline)
-			results <- outcome{cm: cm, err: e, took: time.Since(start), hedged: hedged}
+			results <- outcome{cm: cm, err: e, took: clk.Now().Sub(start), hedged: hedged}
 		}()
 	}
 	launch(false)
-	var timerC <-chan time.Time
+	var hedgeC chan struct{}
 	if next < len(cms) {
-		timer := time.NewTimer(c.hedgeDelay())
+		fired := make(chan struct{})
+		timer := clk.AfterFunc(c.hedgeDelay(), func() { close(fired) })
 		defer timer.Stop()
-		timerC = timer.C
+		hedgeC = fired
 	}
 	lastErr := error(ErrDegraded)
 	for inflight > 0 {
@@ -478,8 +550,8 @@ func (c *ClusterClient) hedgedCall(cms []*clusterMember, call func(cm *clusterMe
 			if next < len(cms) {
 				launch(false)
 			}
-		case <-timerC:
-			timerC = nil
+		case <-hedgeC:
+			hedgeC = nil
 			if next < len(cms) {
 				if c.budget.TryTake(1) {
 					c.hedges.Add(1)
@@ -523,13 +595,13 @@ func (c *ClusterClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
 			gts[k] = pending[i]
 			gblobs[k] = blobs[i]
 		}
-		got, err := cm.rc.registerPending(gts, gblobs)
+		got, err := cm.registerBatch(gts, gblobs)
 		if err != nil && errors.Is(err, ErrOverloaded) {
 			// The group's owner is shedding: journal the group into that
 			// partition's degraded mode and hand out provisional ids.
 			got = make([]uint32, len(gts))
 			for k := range gts {
-				if got[k], err = cm.rc.journalFallback(gts[k], gblobs[k]); err != nil {
+				if got[k], err = cm.journalFallback(gts[k], gblobs[k]); err != nil {
 					return nil, err
 				}
 			}
@@ -554,28 +626,19 @@ func (c *ClusterClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 		return ts, nil
 	}
 	groups := make(map[uint32][]uint32)
-	provGroups := make(map[uint32][]uint32)
 	for _, id := range missing {
 		if IsProvisional(id) {
-			provGroups[PartitionOf(id)] = append(provGroups[PartitionOf(id)], id)
-		} else {
-			groups[PartitionOf(id)] = append(groups[PartitionOf(id)], id)
+			// Provisional ids resolve via the minting member's journal;
+			// they never reach the wire or the replica set.
+			if _, err := c.Lookup(id); err != nil {
+				return nil, err
+			}
+			continue
 		}
+		groups[PartitionOf(id)] = append(groups[PartitionOf(id)], id)
 	}
-	ring := c.ring.Load()
 	for part, group := range groups {
-		if err := c.lookupGroup(ring, part, group); err != nil {
-			return nil, err
-		}
-	}
-	for part, group := range provGroups {
-		// Provisional ids resolve via the minting member's journal; they
-		// never reach the wire or the replica set.
-		cm := c.member(part)
-		if cm == nil {
-			return nil, fmt.Errorf("%w: provisional ids of unknown member", ErrDegraded)
-		}
-		if _, err := cm.rc.LookupBatch(group); err != nil {
+		if err := c.lookupGroup(part, group); err != nil {
 			return nil, err
 		}
 	}
@@ -594,46 +657,29 @@ func (c *ClusterClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
 
 // lookupGroup resolves one partition's (non-provisional) ids against
 // its replicas and read-repairs any replica observed missing them.
-func (c *ClusterClient) lookupGroup(ring *Ring, part uint32, group []uint32) error {
-	cms := c.replicaOrder(part)
-	if len(cms) == 0 {
-		return fmt.Errorf("%w: no member for partition %d", ErrDegraded, part)
-	}
-	if len(cms) == 1 || c.opt.HedgeDelay < 0 {
-		var stale []*clusterMember
-		lastErr := error(ErrDegraded)
-		for _, cm := range cms {
-			got, err := cm.rc.LookupBatch(group)
-			if err == nil {
-				c.repairTo(stale, group, got)
-				return nil
-			}
-			lastErr = err
-			if errors.Is(err, ErrUnknownGlobalID) {
-				stale = append(stale, cm)
-			}
-		}
-		return lastErr
-	}
-	stale, err := c.hedgedCall(cms, func(cm *clusterMember, deadline time.Time) error {
-		return cm.rc.lookupBatchAttempt(group, deadline)
+func (c *ClusterClient) lookupGroup(part uint32, group []uint32) error {
+	stale, err := c.readReplicas(part, func(cm *clusterMember) error {
+		return cm.lookupBatch(group)
+	}, func(cm *clusterMember, deadline time.Time) error {
+		return cm.live(func(rc *RemoteClient) error {
+			_, e := rc.lookupBatchDeadline(group, deadline)
+			return e
+		})
 	})
-	if err != nil {
+	if err != nil || len(stale) == 0 {
 		return err
 	}
-	if len(stale) > 0 {
-		// The attempt path resolves into the shared memo rather than
-		// returning the taints; refetch them to build the repair batch.
-		ts := make([]taint.Taint, len(group))
-		for i, id := range group {
-			t, ok := c.memo.get(id)
-			if !ok {
-				return nil // raced an eviction; leave repair to a later reader
-			}
-			ts[i] = t
+	// The read resolved into the shared memo rather than returning the
+	// taints; refetch them to build the repair batch.
+	ts := make([]taint.Taint, len(group))
+	for i, id := range group {
+		t, ok := c.memo.get(id)
+		if !ok {
+			return nil // raced an eviction; leave repair to a later reader
 		}
-		c.repairTo(stale, group, ts)
+		ts[i] = t
 	}
+	c.repairTo(stale, group, ts)
 	return nil
 }
 
@@ -659,29 +705,21 @@ func (c *ClusterClient) repairTo(stale []*clusterMember, ids []uint32, ts []tain
 	}
 	payload := appendEntries(nil, okIDs, blobs)
 	for _, cm := range stale {
-		if _, err := cm.rc.rawCall(opRepair, payload); err == nil {
+		err := cm.live(func(rc *RemoteClient) error {
+			_, e := rc.call(opRepair, payload)
+			return e
+		})
+		if err == nil {
 			c.repaired.Add(int64(len(okIDs)))
 		}
 	}
 }
 
-// Healths reports each member's resilience state, keyed by partition.
-func (c *ClusterClient) Healths() map[uint32]Health {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[uint32]Health, len(c.members))
-	for part, cm := range c.members {
-		out[part] = cm.rc.Health()
-	}
-	return out
-}
-
-// ClusterHealth is a cluster-wide snapshot: per-member resilience
-// state plus the hedge, budget and degradation gauges that only exist
-// at this layer.
+// ClusterHealth is a client-wide snapshot: per-member resilience state
+// plus the hedge, budget and degradation gauges of the routing layer.
 type ClusterHealth struct {
-	Members            map[uint32]Health
-	DegradedPartitions []uint32 // partitions journaling locally (breaker tripped)
+	Members            map[uint32]Health // keyed by partition
+	DegradedPartitions []uint32          // partitions journaling locally (breaker tripped)
 
 	Hedges       int64         // hedge attempts launched
 	HedgeWins    int64         // lookups won by the hedged attempt
@@ -691,10 +729,10 @@ type ClusterHealth struct {
 	Repaired     int64         // entries pushed back to stale replicas
 }
 
-// Health reports the cluster client's current state.
+// Health reports the client's current state.
 func (c *ClusterClient) Health() ClusterHealth {
 	h := ClusterHealth{
-		Members:      c.Healths(),
+		Members:      make(map[uint32]Health),
 		Hedges:       c.hedges.Load(),
 		HedgeWins:    c.hedgeWins.Load(),
 		BudgetDenied: c.budgetDenied.Load(),
@@ -702,9 +740,11 @@ func (c *ClusterClient) Health() ClusterHealth {
 		HedgeDelay:   c.hedgeDelay(),
 		Repaired:     c.repaired.Load(),
 	}
-	for part, mh := range h.Members {
+	for _, cm := range c.handles() {
+		mh := cm.health()
+		h.Members[cm.part] = mh
 		if mh.Degraded {
-			h.DegradedPartitions = append(h.DegradedPartitions, part)
+			h.DegradedPartitions = append(h.DegradedPartitions, cm.part)
 		}
 	}
 	sort.Slice(h.DegradedPartitions, func(i, j int) bool {
@@ -721,14 +761,10 @@ func (c *ClusterClient) Close() error {
 		return nil
 	}
 	c.closed = true
-	handles := make([]*clusterMember, 0, len(c.members))
-	for _, cm := range c.members {
-		handles = append(handles, cm)
-	}
 	c.mu.Unlock()
 	var first error
-	for _, cm := range handles {
-		if err := cm.rc.Close(); err != nil && first == nil {
+	for _, cm := range c.handles() {
+		if err := cm.close(); err != nil && first == nil {
 			first = err
 		}
 	}

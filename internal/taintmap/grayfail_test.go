@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dista/internal/core/taint"
+	"dista/internal/netsim"
 )
 
 // grayOpts is the fast-failure tuning the gray-failure tests run the
@@ -18,16 +19,14 @@ import (
 // instead of the production-default seconds.
 func grayOpts() ClusterOptions {
 	return ClusterOptions{
-		Resilient: ResilientOptions{
-			CallTimeout:      200 * time.Millisecond,
-			BackoffBase:      time.Millisecond,
-			BackoffMax:       20 * time.Millisecond,
-			BreakerThreshold: 2,
-			JournalLimit:     1 << 15,
-		},
-		HedgeDelay:  5 * time.Millisecond,
-		BudgetRate:  500,
-		BudgetBurst: 1000,
+		CallTimeout:      200 * time.Millisecond,
+		BackoffBase:      time.Millisecond,
+		BackoffMax:       20 * time.Millisecond,
+		BreakerThreshold: 2,
+		JournalLimit:     1 << 15,
+		HedgeDelay:       5 * time.Millisecond,
+		BudgetRate:       500,
+		BudgetBurst:      1000,
 	}
 }
 
@@ -179,6 +178,77 @@ func TestHedgedLookupStalledReplica(t *testing.T) {
 	}
 }
 
+// TestHedgeTimerOnClientClock: the hedge timer runs on the client's
+// clock, not the wall clock. With an hour-long HedgeDelay on a virtual
+// clock and the lookup's first replica stalled, the lookup parks on one
+// pending timer; advancing the clock to it launches the hedge against
+// the healthy replica, which wins.
+func TestHedgeTimerOnClientClock(t *testing.T) {
+	e := newClusterEnv(t, 2, 2)
+	seedTree := taint.NewTree()
+	seed, err := DialSimCluster(e.net, "seed:1", e.ring, seedTree, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := seedTree.NewSource("hedge-clock", "seed:1")
+	id, err := seed.Register(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	clk := netsim.NewVirtualClock()
+	c, err := DialSimCluster(e.net, "app:1", e.ring, taint.NewTree(), ClusterOptions{
+		CallTimeout: time.Minute,
+		HedgeDelay:  time.Hour,
+		clk:         clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// replicaOrder starts the next lookup at rotation index rr+1: stall
+	// the member that lookup tries first.
+	reps := e.ring.Replicas(PartitionOf(id))
+	host := fmt.Sprintf("tm%d", reps[int(c.rr.Load()+1)%len(reps)])
+	e.net.SetHostStall(host, true)
+	defer e.net.SetHostStall(host, false)
+
+	done := make(chan error, 1)
+	go func() {
+		got, err := c.Lookup(id)
+		if err == nil && !taint.SameSet(got, src) {
+			err = fmt.Errorf("lookup returned %v", got)
+		}
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for clk.PendingTimers() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("lookup finished before its hedge timer fired: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no hedge timer armed on the client clock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	clk.AdvanceToNext()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("lookup still blocked after the hedge timer fired")
+	}
+	if h := c.Health(); h.Hedges != 1 || h.HedgeWins != 1 {
+		t.Fatalf("hedges %d, hedge wins %d; want 1 and 1", h.Hedges, h.HedgeWins)
+	}
+}
+
 // TestClusterRegisterOverloadedJournals: a shedding owner (admission
 // gate saturated) must not fail registrations — they fall into that
 // partition's journaled degraded mode, get provisional ids, and drain
@@ -242,7 +312,7 @@ func TestClusterRegisterOverloadedJournals(t *testing.T) {
 	e.srvs[0].adm.release()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		h := c.Healths()[0]
+		h := c.Health().Members[0]
 		if h.JournalLen == 0 && h.Drained > 0 {
 			break
 		}
@@ -427,7 +497,7 @@ func TestChaosGrayFailure(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		all := true
-		for part, h := range c.Healths() {
+		for part, h := range c.Health().Members {
 			if !h.Connected || h.Degraded || h.JournalLen != 0 {
 				all = false
 				if !time.Now().Before(deadline) {

@@ -10,12 +10,10 @@ import (
 	"time"
 
 	"dista/internal/core/taint"
-	"dista/internal/netsim"
 )
 
-// This file implements the resilience layer around the Taint Map client
-// path (DESIGN.md "Failure model"). A ResilientClient wraps the
-// multiplexed RemoteClient with:
+// This file implements the resilience layer each ClusterClient member
+// runs around its multiplexed RemoteClient (DESIGN.md "Failure model"):
 //
 //   - per-call deadlines (a wedged connection fails fast instead of
 //     hanging every instrumented write behind it),
@@ -24,9 +22,9 @@ import (
 //     registers journaled during an outage re-issue safely after
 //     reconnect and resolve to the same Global IDs any other node got,
 //   - a circuit breaker: after BreakerThreshold consecutive failed
-//     reconnect attempts the client stops making callers wait and
+//     reconnect attempts the member stops making callers wait and
 //     enters degraded local mode,
-//   - degraded local mode: while the server is unreachable, Register
+//   - degraded local mode: while the server is unreachable, a register
 //     resolves against a local content-addressed Store and returns a
 //     provisional id (high bit set), queueing the registration in a
 //     bounded store-and-forward journal that drains on reconnect.
@@ -59,96 +57,6 @@ var (
 	ErrGlobalIDPending = errors.New("taintmap: taint present, global ID pending")
 )
 
-// DialFunc opens one connection to the Taint Map server. The
-// ResilientClient calls it for the initial connection and again on
-// every reconnect attempt.
-type DialFunc func() (io.ReadWriteCloser, error)
-
-// ResilientOptions tunes a ResilientClient. The zero value selects the
-// documented defaults; a negative CallTimeout or JitterFrac disables
-// that feature outright.
-type ResilientOptions struct {
-	// CallTimeout bounds every wire call. Default 2s; negative disables
-	// per-call deadlines.
-	CallTimeout time.Duration
-	// BackoffBase is the first reconnect delay. Default 5ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the doubling backoff. Default 1s. Once degraded,
-	// this is the probe cadence for detecting a healed server.
-	BackoffMax time.Duration
-	// JitterFrac spreads each delay uniformly in ±frac around the
-	// schedule so a fleet of clients does not reconnect in lockstep.
-	// Default 0.2; negative disables jitter (deterministic schedule).
-	JitterFrac float64
-	// BreakerThreshold is how many consecutive failed reconnect
-	// attempts trip the circuit breaker into degraded mode. Default 3.
-	BreakerThreshold int
-	// JournalLimit bounds the degraded-mode store-and-forward journal;
-	// registrations past it fail with ErrJournalFull. Default 4096.
-	JournalLimit int
-	// Seed seeds the jitter generator; 0 uses a fixed default seed.
-	Seed int64
-
-	// clk times the backoff waits and the retry budget's refill; tests
-	// inject a netsim.VirtualClock. nil means the wall clock.
-	clk netsim.Clock
-	// memo injects a shared id -> taint cache; nil allocates a private
-	// one. The cluster client threads one memo through every member so a
-	// taint resolved via any replica is warm for all of them.
-	memo *cache
-	// local injects the degraded-mode provisional-id store; nil
-	// allocates a standalone (partition 0) one. The cluster client hands
-	// each member a store of that member's partition, so even
-	// provisional ids carry the partition that will eventually own them.
-	local *Store
-	// budget injects the shared retry budget gating reconnect dials
-	// (and, at the cluster layer, hedges); nil means unbudgeted. The
-	// cluster client threads one budget through every member so a
-	// cluster-wide brownout cannot multiply into per-member dial storms.
-	budget *Budget
-}
-
-func (o *ResilientOptions) withDefaults() ResilientOptions {
-	opt := *o
-	switch {
-	case opt.CallTimeout == 0:
-		opt.CallTimeout = 2 * time.Second
-	case opt.CallTimeout < 0:
-		opt.CallTimeout = 0
-	}
-	if opt.BackoffBase <= 0 {
-		opt.BackoffBase = 5 * time.Millisecond
-	}
-	if opt.BackoffMax <= 0 {
-		opt.BackoffMax = time.Second
-	}
-	switch {
-	case opt.JitterFrac == 0:
-		opt.JitterFrac = 0.2
-	case opt.JitterFrac < 0:
-		opt.JitterFrac = 0
-	}
-	if opt.BreakerThreshold <= 0 {
-		opt.BreakerThreshold = 3
-	}
-	if opt.JournalLimit <= 0 {
-		opt.JournalLimit = 4096
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	if opt.clk == nil {
-		opt.clk = netsim.WallClock()
-	}
-	if opt.memo == nil {
-		opt.memo = &cache{}
-	}
-	if opt.local == nil {
-		opt.local = NewStore()
-	}
-	return opt
-}
-
 // backoffDelay computes the delay before reconnect attempt number
 // attempt (0-based): base doubled per attempt, capped at max, spread by
 // ±jitter. Pure so the schedule is unit-testable.
@@ -176,22 +84,26 @@ type journalEntry struct {
 	t    taint.Taint // node to stamp with the real Global ID on drain
 }
 
-// ResilientClient is a Client that survives Taint Map outages. The
-// healthy hot path is one atomic load plus the wrapped RemoteClient
-// call; all resilience machinery sits on the failure paths.
+// clusterMember is one ring member's client state. The healthy hot path
+// is one atomic load plus the wrapped RemoteClient call; all resilience
+// machinery sits on the failure paths.
 //
 // State machine: connected -> (connection failure) -> reconnecting
 // (callers briefly wait) -> either connected again, or — after
-// BreakerThreshold failed attempts — degraded, where Register journals
-// locally and Lookup serves from the memo. Reconnect attempts continue
+// BreakerThreshold failed attempts — degraded, where registers journal
+// locally and lookups serve from the memo. Reconnect attempts continue
 // at the backoff cap; on success the journal drains (idempotent
 // content-addressed replay), provisional ids are remapped, and the
-// client is connected again.
-type ResilientClient struct {
-	dial DialFunc
-	tree *taint.Tree
-	opt  ResilientOptions
-	memo *cache // shared across connection epochs
+// member is connected again.
+type clusterMember struct {
+	part   uint32
+	addr   string
+	dial   func(addr string) (io.ReadWriteCloser, error)
+	tree   *taint.Tree
+	opt    *ClusterOptions // the owning client's, defaults filled
+	memo   *cache          // shared by every member and connection epoch
+	local  *Store          // degraded-mode provisional id source
+	budget *Budget         // shared retry budget gating reconnect dials
 
 	inner atomic.Pointer[RemoteClient] // nil while disconnected
 
@@ -202,13 +114,12 @@ type ResilientClient struct {
 	reconnecting bool
 	draining     bool // a background drainLoop is running
 	closed       bool
-	local        *Store // degraded-mode provisional id source
 	queued       []journalEntry
 	journaled    map[uint32]struct{} // provisional ids currently queued
 	remap        map[uint32]uint32   // provisional -> real Global ID
 
 	// drainMu serializes journal drains: the reconnect loop and the
-	// background drainLoop both replay c.queued, and two concurrent
+	// background drainLoop both replay m.queued, and two concurrent
 	// drains would each truncate the queue by their own batch length.
 	drainMu sync.Mutex
 
@@ -222,33 +133,38 @@ type ResilientClient struct {
 	drainedTotal   atomic.Int64
 }
 
-var _ Client = (*ResilientClient)(nil)
-
-// NewResilientClient dials the Taint Map and returns a client that
-// keeps itself connected. Construction never fails: if the first dial
-// errors the client starts in the reconnecting state and callers block
-// (bounded by the breaker) or run degraded until the server appears.
-func NewResilientClient(dial DialFunc, tree *taint.Tree, opt ResilientOptions) *ResilientClient {
-	c := &ResilientClient{
+// newClusterMember dials member m and returns its state. It never
+// fails: if the first dial errors the member starts in the reconnecting
+// state and callers block (bounded by the breaker) or run degraded
+// until the server appears. memo is shared by every member so a taint
+// resolved via any replica is warm for all of them; local is a store of
+// m's own partition, so even provisional ids carry the partition that
+// will eventually own them; budget is shared so a cluster-wide brownout
+// cannot multiply into per-member dial storms.
+func newClusterMember(m Member, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt *ClusterOptions, memo *cache, local *Store, budget *Budget) *clusterMember {
+	cm := &clusterMember{
+		part:      m.Part,
+		addr:      m.Addr,
 		dial:      dial,
 		tree:      tree,
-		opt:       opt.withDefaults(),
+		opt:       opt,
+		memo:      memo,
+		local:     local,
+		budget:    budget,
 		journaled: make(map[uint32]struct{}),
 		remap:     make(map[uint32]uint32),
+		rng:       rand.New(rand.NewSource(opt.Seed)),
 		done:      make(chan struct{}),
 	}
-	c.memo = c.opt.memo
-	c.local = c.opt.local
-	c.cond = sync.NewCond(&c.mu)
-	c.rng = rand.New(rand.NewSource(c.opt.Seed))
-	if conn, err := c.dial(); err == nil {
-		c.inner.Store(newRemoteClientWith(conn, tree, c.memo, c.opt.CallTimeout))
+	cm.cond = sync.NewCond(&cm.mu)
+	if conn, err := dial(m.Addr); err == nil {
+		cm.inner.Store(newRemoteClientWith(conn, tree, memo, opt.CallTimeout))
 	} else {
-		c.dialFailures.Add(1)
-		c.reconnecting = true
-		go c.reconnectLoop(1)
+		cm.dialFailures.Add(1)
+		cm.reconnecting = true
+		go cm.reconnectLoop(1)
 	}
-	return c
+	return cm
 }
 
 // isConnErr reports whether err means the connection (not the request)
@@ -260,18 +176,18 @@ func isConnErr(err error) bool {
 // connFailed retires a dead inner client and starts the reconnect loop.
 // Concurrent callers may report the same client; only the first one
 // transitions the state.
-func (c *ResilientClient) connFailed(old *RemoteClient) {
-	c.mu.Lock()
-	if c.inner.Load() == old {
-		c.inner.Store(nil)
-		c.seq++
-		c.cond.Broadcast()
-		if !c.reconnecting && !c.closed {
-			c.reconnecting = true
-			go c.reconnectLoop(0)
+func (m *clusterMember) connFailed(old *RemoteClient) {
+	m.mu.Lock()
+	if m.inner.Load() == old {
+		m.inner.Store(nil)
+		m.seq++
+		m.cond.Broadcast()
+		if !m.reconnecting && !m.closed {
+			m.reconnecting = true
+			go m.reconnectLoop(0)
 		}
 	}
-	c.mu.Unlock()
+	m.mu.Unlock()
 	old.Close()
 }
 
@@ -279,132 +195,126 @@ func (c *ResilientClient) connFailed(old *RemoteClient) {
 // server answers, then drains the journal and republishes the client.
 // failures carries consecutive failed attempts (the constructor's
 // failed first dial counts); at BreakerThreshold it trips the breaker.
-func (c *ResilientClient) reconnectLoop(failures int) {
+func (m *clusterMember) reconnectLoop(failures int) {
 	attempt := 0
 	for {
-		c.mu.Lock()
-		if c.closed {
-			c.reconnecting = false
-			c.mu.Unlock()
+		m.mu.Lock()
+		if m.closed {
+			m.reconnecting = false
+			m.mu.Unlock()
 			return
 		}
-		c.mu.Unlock()
+		m.mu.Unlock()
 
-		// Reconnect dials are retry traffic: they spend from the shared
-		// budget, so a fleet-wide brownout cannot be amplified into a
-		// dial storm. A denied attempt counts as a failure (the breaker
-		// may trip into degraded mode) and waits out the backoff.
-		if !c.opt.budget.TryTake(1) {
+		rc, ok := m.redial()
+		if !ok {
 			failures++
-			c.maybeTrip(failures)
-			if !c.sleep(attempt) {
-				return
-			}
-			attempt++
-			continue
-		}
-		conn, err := c.dial()
-		if err != nil {
-			c.dialFailures.Add(1)
-			failures++
-			c.maybeTrip(failures)
-			if !c.sleep(attempt) {
-				return
-			}
-			attempt++
-			continue
-		}
-		rc := newRemoteClientWith(conn, c.tree, c.memo, c.opt.CallTimeout)
-		// Probe before trusting the connection: a gray-failing server
-		// accepts the dial and then never answers, and publishing it
-		// would hand every caller a stall. One stats round trip (bounded
-		// by the watchdog) proves the server is answering. Skipped when
-		// deadlines are disabled — the probe itself could hang forever.
-		if c.opt.CallTimeout > 0 {
-			if _, err := rc.call(opStats, nil); err != nil {
-				rc.Close()
-				c.probeFailures.Add(1)
-				failures++
-				c.maybeTrip(failures)
-				if !c.sleep(attempt) {
-					return
-				}
-				attempt++
-				continue
-			}
-		}
-		if err := c.drainJournal(rc); err != nil {
-			rc.Close()
-			failures++
-			c.maybeTrip(failures)
-			if !c.sleep(attempt) {
+			m.maybeTrip(failures)
+			if !m.sleep(attempt) {
 				return
 			}
 			attempt++
 			continue
 		}
 
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
+		m.mu.Lock()
+		if m.closed {
+			m.mu.Unlock()
 			rc.Close()
 			return
 		}
-		if len(c.queued) > 0 {
+		if len(m.queued) > 0 {
 			// A degraded caller journaled between the drain and here;
 			// go around and drain again before publishing.
-			c.mu.Unlock()
+			m.mu.Unlock()
+			rc.Close()
 			continue
 		}
-		c.inner.Store(rc)
-		c.degraded = false
-		c.reconnecting = false
-		c.seq++
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		c.reconnects.Add(1)
+		m.inner.Store(rc)
+		m.degraded = false
+		m.reconnecting = false
+		m.seq++
+		m.cond.Broadcast()
+		m.mu.Unlock()
+		m.reconnects.Add(1)
 		return
 	}
 }
 
-// maybeTrip flips the client into degraded mode once enough consecutive
+// redial is one reconnect attempt: a budgeted dial, an answer probe and
+// a journal drain over the fresh connection. It returns the connection
+// ready to publish, or false when any step failed.
+func (m *clusterMember) redial() (*RemoteClient, bool) {
+	// Reconnect dials are retry traffic: they spend from the shared
+	// budget, so a fleet-wide brownout cannot be amplified into a dial
+	// storm. A denied attempt counts as a failure (the breaker may trip
+	// into degraded mode) and waits out the backoff.
+	if !m.budget.TryTake(1) {
+		return nil, false
+	}
+	conn, err := m.dial(m.addr)
+	if err != nil {
+		m.dialFailures.Add(1)
+		return nil, false
+	}
+	rc := newRemoteClientWith(conn, m.tree, m.memo, m.opt.CallTimeout)
+	// Probe before trusting the connection: a gray-failing server
+	// accepts the dial and then never answers, and publishing it would
+	// hand every caller a stall. One stats round trip (bounded by the
+	// watchdog) proves the server is answering. Skipped when deadlines
+	// are disabled — the probe itself could hang forever.
+	if m.opt.CallTimeout > 0 {
+		if _, err := rc.call(opStats, nil); err != nil {
+			rc.Close()
+			m.probeFailures.Add(1)
+			return nil, false
+		}
+	}
+	if err := m.drainJournal(rc); err != nil {
+		rc.Close()
+		return nil, false
+	}
+	return rc, true
+}
+
+// maybeTrip flips the member into degraded mode once enough consecutive
 // reconnect attempts have failed, releasing every waiting caller into
 // the local path.
-func (c *ResilientClient) maybeTrip(failures int) {
-	if failures < c.opt.BreakerThreshold {
+func (m *clusterMember) maybeTrip(failures int) {
+	if failures < m.opt.BreakerThreshold {
 		return
 	}
-	c.mu.Lock()
-	if !c.degraded && !c.closed {
-		c.degraded = true
-		c.seq++
-		c.cond.Broadcast()
+	m.mu.Lock()
+	if !m.degraded && !m.closed {
+		m.degraded = true
+		m.seq++
+		m.cond.Broadcast()
 	}
-	c.mu.Unlock()
+	m.mu.Unlock()
 }
 
-// sleep waits out the backoff delay for attempt; false means the client
+// sleep waits out the backoff delay for attempt; false means the member
 // closed and the loop must exit.
-func (c *ResilientClient) sleep(attempt int) bool {
-	d := backoffDelay(attempt, c.opt.BackoffBase, c.opt.BackoffMax, c.opt.JitterFrac, c.rng)
-	if c.wait(d) {
+func (m *clusterMember) sleep(attempt int) bool {
+	d := backoffDelay(attempt, m.opt.BackoffBase, m.opt.BackoffMax, m.opt.JitterFrac, m.rng)
+	if m.wait(d) {
 		return true
 	}
-	c.mu.Lock()
-	c.reconnecting = false
-	c.mu.Unlock()
+	m.mu.Lock()
+	m.reconnecting = false
+	m.mu.Unlock()
 	return false
 }
 
-// wait blocks for d on the client's clock; false means the client
+// wait blocks for d on the client's clock; false means the member
 // closed first.
-func (c *ResilientClient) wait(d time.Duration) bool {
+func (m *clusterMember) wait(d time.Duration) bool {
 	fired := make(chan struct{})
-	t := c.opt.clk.AfterFunc(d, func() { close(fired) })
+	t := m.opt.clk.AfterFunc(d, func() { close(fired) })
 	select {
 	case <-fired:
 		return true
-	case <-c.done:
+	case <-m.done:
 		t.Stop()
 		return false
 	}
@@ -415,13 +325,13 @@ func (c *ResilientClient) wait(d time.Duration) bool {
 // the server already has (from a pre-crash send or another node)
 // returns the same Global ID. Each drained entry remaps its provisional
 // id and stamps the real id onto the taint node.
-func (c *ResilientClient) drainJournal(rc *RemoteClient) error {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
+func (m *clusterMember) drainJournal(rc *RemoteClient) error {
+	m.drainMu.Lock()
+	defer m.drainMu.Unlock()
 	for {
-		c.mu.Lock()
-		batch := c.queued
-		c.mu.Unlock()
+		m.mu.Lock()
+		batch := m.queued
+		m.mu.Unlock()
 		if len(batch) == 0 {
 			return nil
 		}
@@ -433,111 +343,99 @@ func (c *ResilientClient) drainJournal(rc *RemoteClient) error {
 			}
 			ids[i] = id
 		}
-		c.mu.Lock()
+		m.mu.Lock()
 		for i, e := range batch {
-			c.remap[e.prov] = ids[i]
+			m.remap[e.prov] = ids[i]
 			e.t.SetGlobalID(ids[i])
-			c.memo.put(ids[i], e.t)
-			delete(c.journaled, e.prov)
+			m.memo.put(ids[i], e.t)
+			delete(m.journaled, e.prov)
 		}
 		// New entries may have been appended behind the batch; keep them.
-		c.queued = c.queued[len(batch):]
-		c.mu.Unlock()
-		c.drainedTotal.Add(int64(len(batch)))
+		m.queued = m.queued[len(batch):]
+		m.mu.Unlock()
+		m.drainedTotal.Add(int64(len(batch)))
 	}
 }
 
-// journalLocked registers t against the local store and queues the
-// registration for replay, returning a provisional id. Caller holds
-// c.mu with the client degraded.
-func (c *ResilientClient) journalLocked(t taint.Taint) (uint32, error) {
-	blob, err := taint.MarshalTaint(t)
-	if err != nil {
-		return 0, err
-	}
-	return c.journalBlobLocked(t, blob)
-}
-
-// journalBlobLocked is journalLocked for callers that already hold t's
-// serialized form.
-func (c *ResilientClient) journalBlobLocked(t taint.Taint, blob []byte) (uint32, error) {
-	prov := provisionalBit | c.local.RegisterBlob(blob)
-	if gid, ok := c.remap[prov]; ok {
+// journalLocked registers t (serialized as blob) against the local
+// store and queues the registration for replay, returning a provisional
+// id. Caller holds m.mu.
+func (m *clusterMember) journalLocked(t taint.Taint, blob []byte) (uint32, error) {
+	prov := provisionalBit | m.local.RegisterBlob(blob)
+	if gid, ok := m.remap[prov]; ok {
 		// Seen and drained in an earlier outage: the real id is known.
 		t.SetGlobalID(gid)
-		c.memo.put(gid, t)
+		m.memo.put(gid, t)
 		return gid, nil
 	}
-	if _, ok := c.journaled[prov]; ok {
+	if _, ok := m.journaled[prov]; ok {
 		return prov, nil
 	}
-	if len(c.queued) >= c.opt.JournalLimit {
-		return 0, fmt.Errorf("%w (%d queued)", ErrJournalFull, len(c.queued))
+	if len(m.queued) >= m.opt.JournalLimit {
+		return 0, fmt.Errorf("%w (%d queued)", ErrJournalFull, len(m.queued))
 	}
-	c.queued = append(c.queued, journalEntry{blob: string(blob), prov: prov, t: t})
-	c.journaled[prov] = struct{}{}
-	c.journaledTotal.Add(1)
+	m.queued = append(m.queued, journalEntry{blob: string(blob), prov: prov, t: t})
+	m.journaled[prov] = struct{}{}
+	m.journaledTotal.Add(1)
 	// Memoize under the provisional id so sink-side lookups resolve
 	// locally. The real Global ID is NOT stamped on t: cross-node
 	// transfer must keep failing with ErrGlobalIDPending until drain.
-	c.memo.put(prov, t)
+	m.memo.put(prov, t)
 	return prov, nil
 }
 
 // journalFallback journals one registration regardless of breaker
 // state: the partition-scoped degraded path. The cluster client calls
-// it when a whole partition is effectively unavailable — every replica
-// down, the retry budget empty, or the owner shedding load
-// (ErrOverloaded) — so the caller gets a provisional id now instead of
-// an error, and a background drain replays the journal as soon as this
-// member's connection can absorb it, without waiting for a full
-// disconnect/reconnect cycle.
-func (c *ResilientClient) journalFallback(t taint.Taint, blob []byte) (uint32, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+// it when the owner sheds load (ErrOverloaded), so the caller gets a
+// provisional id now instead of an error, and a background drain
+// replays the journal as soon as this member's connection can absorb
+// it, without waiting for a full disconnect/reconnect cycle.
+func (m *clusterMember) journalFallback(t taint.Taint, blob []byte) (uint32, error) {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
 		return 0, ErrClientClosed
 	}
-	id, err := c.journalBlobLocked(t, blob)
-	kick := err == nil && !c.draining && c.inner.Load() != nil
+	id, err := m.journalLocked(t, blob)
+	kick := err == nil && !m.draining && m.inner.Load() != nil
 	if kick {
-		c.draining = true
+		m.draining = true
 	}
-	c.mu.Unlock()
+	m.mu.Unlock()
 	if kick {
-		go c.drainLoop()
+		go m.drainLoop()
 	}
 	return id, err
 }
 
 // drainLoop replays journalFallback entries in the background while the
-// client stays connected. On any drain failure it stops: the entries
+// member stays connected. On any drain failure it stops: the entries
 // stay queued and the reconnect loop replays them before republishing a
 // fresh connection.
-func (c *ResilientClient) drainLoop() {
+func (m *clusterMember) drainLoop() {
 	ok := true
 	defer func() {
-		c.mu.Lock()
-		again := ok && !c.closed && len(c.queued) > 0 && c.inner.Load() != nil
-		c.draining = again
-		c.mu.Unlock()
+		m.mu.Lock()
+		again := ok && !m.closed && len(m.queued) > 0 && m.inner.Load() != nil
+		m.draining = again
+		m.mu.Unlock()
 		if again {
 			// An entry landed between the last pass and here; keep going
 			// so it does not sit until the next fallback or reconnect.
-			go c.drainLoop()
+			go m.drainLoop()
 		}
 	}()
 	for {
-		rc := c.inner.Load()
-		c.mu.Lock()
-		done := c.closed || len(c.queued) == 0
-		c.mu.Unlock()
+		rc := m.inner.Load()
+		m.mu.Lock()
+		done := m.closed || len(m.queued) == 0
+		m.mu.Unlock()
 		if done || rc == nil {
 			return
 		}
-		if err := c.drainJournal(rc); err != nil {
+		if err := m.drainJournal(rc); err != nil {
 			if isConnErr(err) {
-				c.connFailed(rc)
+				m.connFailed(rc)
 				ok = false
 				return
 			}
@@ -545,11 +443,11 @@ func (c *ResilientClient) drainLoop() {
 			// still shedding (ErrOverloaded). Retry after a full backoff
 			// while the budget allows; once it denies, the journal waits
 			// for the next fallback kick or reconnect drain.
-			if !c.opt.budget.TryTake(1) {
+			if !m.budget.TryTake(1) {
 				ok = false
 				return
 			}
-			if !c.wait(c.opt.BackoffMax) {
+			if !m.wait(m.opt.BackoffMax) {
 				ok = false
 				return
 			}
@@ -557,357 +455,169 @@ func (c *ResilientClient) drainLoop() {
 	}
 }
 
-// lookupAttempt is one single-shot Lookup leg for the cluster client's
-// hedged reads: it uses whatever connection is live right now and fails
-// fast — no reconnect wait, no breaker wait — because the hedge engine
-// has other replicas to try. A non-zero deadline bounds the wait inline
-// without declaring the connection wedged.
-func (c *ResilientClient) lookupAttempt(id uint32, deadline time.Time) (taint.Taint, error) {
-	if t, ok := c.memo.get(id); ok {
-		return t, nil
+// await blocks until the member leaves the "disconnected, breaker not
+// yet tripped" state. Caller holds m.mu; await returns with it held.
+func (m *clusterMember) await() {
+	seq := m.seq
+	for m.seq == seq && !m.closed {
+		m.cond.Wait()
 	}
-	rc := c.inner.Load()
-	if rc == nil {
-		return taint.Taint{}, fmt.Errorf("%w: no connection", ErrDegraded)
-	}
-	t, err := rc.lookupDeadline(id, deadline)
-	if err != nil && isConnErr(err) {
-		c.connFailed(rc)
-	}
-	return t, err
 }
 
-// lookupBatchAttempt is lookupAttempt for an id batch. Results land in
-// the shared memo; the caller refetches from there.
-func (c *ResilientClient) lookupBatchAttempt(ids []uint32, deadline time.Time) error {
-	rc := c.inner.Load()
-	if rc == nil {
-		return fmt.Errorf("%w: no connection", ErrDegraded)
+// retry is the waiting state machine every blocking entry point runs
+// on. Connected: live runs on the connection, and a connection error
+// retires it and goes around. Disconnected: the caller waits for the
+// reconnect, bounded by the breaker. Degraded: degraded runs under m.mu
+// and answers locally.
+func (m *clusterMember) retry(live func(rc *RemoteClient) error, degraded func() error) error {
+	for {
+		if rc := m.inner.Load(); rc != nil {
+			err := live(rc)
+			if err == nil || !isConnErr(err) {
+				return err
+			}
+			m.connFailed(rc)
+			continue
+		}
+		m.mu.Lock()
+		if m.closed {
+			m.mu.Unlock()
+			return ErrClientClosed
+		}
+		if m.inner.Load() != nil {
+			m.mu.Unlock()
+			continue
+		}
+		if m.degraded {
+			err := degraded()
+			m.mu.Unlock()
+			return err
+		}
+		m.await()
+		m.mu.Unlock()
 	}
-	_, err := rc.lookupBatchDeadline(ids, deadline)
+}
+
+// live runs op once on whatever connection is published right now and
+// fails fast — no reconnect wait, no breaker wait — with ErrDegraded
+// when there is none. It is the channel for hedged read attempts (the
+// hedge engine has other replicas to try) and for ring fetches and
+// read-repair pushes (maintenance traffic is meaningless without a
+// server). A connection error still retires the connection.
+func (m *clusterMember) live(op func(rc *RemoteClient) error) error {
+	rc := m.inner.Load()
+	if rc == nil {
+		return fmt.Errorf("%w: no connection to partition %d", ErrDegraded, m.part)
+	}
+	err := op(rc)
 	if err != nil && isConnErr(err) {
-		c.connFailed(rc)
+		m.connFailed(rc)
 	}
 	return err
 }
 
-// await blocks until the client leaves the "disconnected, breaker not
-// yet tripped" state. Caller holds c.mu; await returns with it held.
-func (c *ResilientClient) await() {
-	seq := c.seq
-	for c.seq == seq && !c.closed {
-		c.cond.Wait()
-	}
+// register registers t, already serialized as blob (the cluster client
+// marshals first to route by content hash). Degraded, it journals.
+func (m *clusterMember) register(t taint.Taint, blob []byte) (id uint32, err error) {
+	err = m.retry(func(rc *RemoteClient) (e error) {
+		id, e = rc.registerMarshaled(t, blob)
+		return e
+	}, func() (e error) {
+		id, e = m.journalLocked(t, blob)
+		return e
+	})
+	return id, err
 }
 
-// Register implements Client. Healthy: one atomic load + the wrapped
-// call. Disconnected: waits for reconnect, bounded by the breaker.
-// Degraded: journals locally and returns a provisional id.
-func (c *ResilientClient) Register(t taint.Taint) (uint32, error) {
-	if t.Empty() {
-		return 0, nil
-	}
-	if id := t.GlobalID(); id != 0 {
-		return id, nil
-	}
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			id, err := rc.Register(t)
-			if err == nil || !isConnErr(err) {
-				return id, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return 0, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			id, err := c.journalLocked(t)
-			c.mu.Unlock()
-			return id, err
-		}
-		c.await()
-		c.mu.Unlock()
-	}
-}
-
-// registerMarshaled is Register for callers that already serialized t
-// (the cluster client, which marshals first to route by content hash).
-// Same state machine: healthy registers remotely, degraded journals.
-func (c *ResilientClient) registerMarshaled(t taint.Taint, blob []byte) (uint32, error) {
-	if id := t.GlobalID(); id != 0 {
-		return id, nil
-	}
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			id, err := rc.registerMarshaled(t, blob)
-			if err == nil || !isConnErr(err) {
-				return id, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return 0, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			id, err := c.journalBlobLocked(t, blob)
-			c.mu.Unlock()
-			return id, err
-		}
-		c.await()
-		c.mu.Unlock()
-	}
-}
-
-// registerPending registers pre-marshaled (taint, blob) pairs as one
+// registerBatch registers pre-marshaled (taint, blob) pairs as one
 // batch, stamping and memoizing each result — the cluster client's
 // per-partition slice of a RegisterBatch. Degraded, every entry
 // journals and gets a provisional id (not stamped on the taint, per the
 // ErrGlobalIDPending contract).
-func (c *ResilientClient) registerPending(ts []taint.Taint, blobs [][]byte) ([]uint32, error) {
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			ids, err := rc.registerBlobs(blobs)
-			if err == nil {
-				for i, t := range ts {
-					t.SetGlobalID(ids[i])
-					c.memo.put(ids[i], t)
-				}
-				return ids, nil
+func (m *clusterMember) registerBatch(ts []taint.Taint, blobs [][]byte) (ids []uint32, err error) {
+	err = m.retry(func(rc *RemoteClient) (e error) {
+		if ids, e = rc.registerBlobs(blobs); e != nil {
+			return e
+		}
+		for i, t := range ts {
+			t.SetGlobalID(ids[i])
+			m.memo.put(ids[i], t)
+		}
+		return nil
+	}, func() error {
+		ids = make([]uint32, len(ts))
+		for i, t := range ts {
+			id, e := m.journalLocked(t, blobs[i])
+			if e != nil {
+				return e
 			}
-			if !isConnErr(err) {
-				return nil, err
-			}
-			c.connFailed(rc)
-			continue
+			ids[i] = id
 		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			ids := make([]uint32, len(ts))
-			for i, t := range ts {
-				id, err := c.journalBlobLocked(t, blobs[i])
-				if err != nil {
-					c.mu.Unlock()
-					return nil, err
-				}
-				ids[i] = id
-			}
-			c.mu.Unlock()
-			return ids, nil
-		}
-		c.await()
-		c.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return ids, nil
 }
 
-// rawCall issues one tagged protocol op on the live connection — the
-// cluster client's channel for ring fetches and read-repair pushes.
-// There is no degraded fallback: cluster maintenance traffic is
-// meaningless without a server, so a disconnected client fails fast
-// with ErrDegraded instead of journaling or waiting out the breaker.
-func (c *ResilientClient) rawCall(op byte, payload []byte) ([]byte, error) {
-	for {
-		rc := c.inner.Load()
-		if rc == nil {
-			return nil, fmt.Errorf("%w: no connection for op %q", ErrDegraded, op)
-		}
-		reply, err := rc.call(op, payload)
-		if err == nil || !isConnErr(err) {
-			return reply, err
-		}
-		c.connFailed(rc)
-	}
-}
-
-// Lookup implements Client. Provisional ids resolve through the remap
-// table or the degraded-mode memo without touching the wire; real ids
-// follow the same healthy/wait/degraded paths as Register.
-func (c *ResilientClient) Lookup(id uint32) (taint.Taint, error) {
-	if id == 0 {
-		return taint.Taint{}, nil
-	}
-	if t, ok := c.memo.get(id); ok {
+// lookup resolves one id. Provisional ids resolve through the remap
+// table or the local store without touching the wire; real ids follow
+// the retry state machine and cannot be served degraded unless the
+// memo holds them.
+func (m *clusterMember) lookup(id uint32) (t taint.Taint, err error) {
+	if t, ok := m.memo.get(id); ok {
 		return t, nil
 	}
 	if IsProvisional(id) {
-		return c.lookupProvisional(id)
+		return m.lookupProvisional(id)
 	}
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			t, err := rc.Lookup(id)
-			if err == nil || !isConnErr(err) {
-				return t, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return taint.Taint{}, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			c.mu.Unlock()
-			return taint.Taint{}, fmt.Errorf("%w: lookup of unknown id %d", ErrDegraded, id)
-		}
-		c.await()
-		c.mu.Unlock()
-	}
+	err = m.retry(func(rc *RemoteClient) (e error) {
+		t, e = rc.Lookup(id)
+		return e
+	}, func() error {
+		return fmt.Errorf("%w: lookup of unknown id %d", ErrDegraded, id)
+	})
+	return t, err
+}
+
+// lookupBatch resolves real (non-provisional) ids into the shared memo;
+// the caller reads the taints from there.
+func (m *clusterMember) lookupBatch(ids []uint32) error {
+	return m.retry(func(rc *RemoteClient) error {
+		_, e := rc.LookupBatch(ids)
+		return e
+	}, func() error {
+		return fmt.Errorf("%w: lookup of %d unknown ids", ErrDegraded, len(ids))
+	})
 }
 
 // lookupProvisional resolves a provisional id: through the remap table
 // when a drain already assigned the real Global ID, else from the local
 // store the id was minted by.
-func (c *ResilientClient) lookupProvisional(id uint32) (taint.Taint, error) {
-	c.mu.Lock()
-	gid, remapped := c.remap[id]
-	c.mu.Unlock()
+func (m *clusterMember) lookupProvisional(id uint32) (taint.Taint, error) {
+	m.mu.Lock()
+	gid, remapped := m.remap[id]
+	m.mu.Unlock()
 	if remapped {
-		return c.Lookup(gid)
+		return m.lookup(gid)
 	}
-	blob, err := c.local.LookupBlob(id &^ provisionalBit)
+	blob, err := m.local.LookupBlob(id &^ provisionalBit)
 	if err != nil {
 		return taint.Taint{}, err
 	}
-	t, err := c.tree.UnmarshalTaint(blob)
+	t, err := m.tree.UnmarshalTaint(blob)
 	if err != nil {
 		return taint.Taint{}, err
 	}
 	// No SetGlobalID: the node must not carry a provisional id into the
 	// cross-node transfer path.
-	c.memo.put(id, t)
+	m.memo.put(id, t)
 	return t, nil
 }
 
-// RegisterBatch implements Client.
-func (c *ResilientClient) RegisterBatch(ts []taint.Taint) ([]uint32, error) {
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			ids, err := rc.RegisterBatch(ts)
-			if err == nil || !isConnErr(err) {
-				return ids, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		ids, pending, _ := collectRegister(ts)
-		if len(pending) == 0 {
-			return ids, nil
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			for i, t := range ts {
-				if t.Empty() {
-					continue
-				}
-				if id := t.GlobalID(); id != 0 {
-					ids[i] = id
-					continue
-				}
-				id, err := c.journalLocked(t)
-				if err != nil {
-					c.mu.Unlock()
-					return nil, err
-				}
-				ids[i] = id
-			}
-			c.mu.Unlock()
-			return ids, nil
-		}
-		c.await()
-		c.mu.Unlock()
-	}
-}
-
-// LookupBatch implements Client. Provisional ids never reach the wire:
-// a batch containing any falls back to per-id resolution, which routes
-// each provisional id through remap/local-store and the rest through
-// the normal path.
-func (c *ResilientClient) LookupBatch(ids []uint32) ([]taint.Taint, error) {
-	for _, id := range ids {
-		if IsProvisional(id) {
-			return c.lookupBatchSlow(ids)
-		}
-	}
-	for {
-		if rc := c.inner.Load(); rc != nil {
-			ts, err := rc.LookupBatch(ids)
-			if err == nil || !isConnErr(err) {
-				return ts, err
-			}
-			c.connFailed(rc)
-			continue
-		}
-		ts, missing := c.memo.splitBatch(ids)
-		if len(missing) == 0 {
-			return ts, nil
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClientClosed
-		}
-		if c.inner.Load() != nil {
-			c.mu.Unlock()
-			continue
-		}
-		if c.degraded {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("%w: lookup of %d unknown ids", ErrDegraded, len(missing))
-		}
-		c.await()
-		c.mu.Unlock()
-	}
-}
-
-func (c *ResilientClient) lookupBatchSlow(ids []uint32) ([]taint.Taint, error) {
-	ts := make([]taint.Taint, len(ids))
-	for i, id := range ids {
-		t, err := c.Lookup(id)
-		if err != nil {
-			return nil, err
-		}
-		ts[i] = t
-	}
-	return ts, nil
-}
-
-// Health is a snapshot of the resilience state, for tests, monitoring
-// and the degraded-mode banner.
+// Health is one member's resilience snapshot, for tests, monitoring and
+// the degraded-mode banner.
 type Health struct {
 	Connected     bool  // a live connection is published
 	Degraded      bool  // breaker tripped; registers journal locally
@@ -919,40 +629,40 @@ type Health struct {
 	Drained       int64 // journaled registrations replayed
 }
 
-// Health reports the client's current resilience state.
-func (c *ResilientClient) Health() Health {
-	c.mu.Lock()
+// health reports the member's current resilience state.
+func (m *clusterMember) health() Health {
+	m.mu.Lock()
 	h := Health{
-		Connected:  c.inner.Load() != nil,
-		Degraded:   c.degraded,
-		JournalLen: len(c.queued),
+		Connected:  m.inner.Load() != nil,
+		Degraded:   m.degraded,
+		JournalLen: len(m.queued),
 	}
-	c.mu.Unlock()
-	h.Reconnects = c.reconnects.Load()
-	h.DialFailures = c.dialFailures.Load()
-	h.ProbeFailures = c.probeFailures.Load()
-	h.Journaled = c.journaledTotal.Load()
-	h.Drained = c.drainedTotal.Load()
+	m.mu.Unlock()
+	h.Reconnects = m.reconnects.Load()
+	h.DialFailures = m.dialFailures.Load()
+	h.ProbeFailures = m.probeFailures.Load()
+	h.Journaled = m.journaledTotal.Load()
+	h.Drained = m.drainedTotal.Load()
 	return h
 }
 
-// Close implements Client: it stops the reconnect loop, closes any live
-// connection and fails subsequent calls with ErrClientClosed. Journaled
-// registrations that never drained are dropped — their taints live on
-// in this process but were never assigned Global IDs.
-func (c *ResilientClient) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+// close stops the reconnect loop, closes any live connection and fails
+// subsequent calls with ErrClientClosed. Journaled registrations that
+// never drained are dropped — their taints live on in this process but
+// were never assigned Global IDs.
+func (m *clusterMember) close() error {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
 		return nil
 	}
-	c.closed = true
-	rc := c.inner.Load()
-	c.inner.Store(nil)
-	c.seq++
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	close(c.done)
+	m.closed = true
+	rc := m.inner.Load()
+	m.inner.Store(nil)
+	m.seq++
+	m.cond.Broadcast()
+	m.mu.Unlock()
+	close(m.done)
 	if rc != nil {
 		return rc.Close()
 	}

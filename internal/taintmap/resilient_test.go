@@ -12,33 +12,44 @@ import (
 	"dista/internal/netsim"
 )
 
-// simDialer returns a DialFunc connecting from a fixed local host so
+// simDialer returns a dial func connecting from a fixed local host so
 // netsim partitions can target the client side by name.
-func simDialer(n *netsim.Network, local, addr string) DialFunc {
-	return func() (io.ReadWriteCloser, error) {
+func simDialer(n *netsim.Network, local string) func(addr string) (io.ReadWriteCloser, error) {
+	return func(addr string) (io.ReadWriteCloser, error) {
 		return n.DialFrom(local, addr)
 	}
 }
 
-// waitHealth polls the client until pred accepts its health or the
-// deadline passes.
-func waitHealth(t *testing.T, c *ResilientClient, what string, pred func(Health) bool) Health {
+// dialSingle builds the client for one standalone server address, the
+// way an agent with a single taintmap= address gets it.
+func dialSingle(t *testing.T, addr string, dial func(addr string) (io.ReadWriteCloser, error), tree *taint.Tree, opt ClusterOptions) *ClusterClient {
+	t.Helper()
+	c, err := DialClusterAddrs([]string{addr}, dial, tree, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// waitHealth polls a single-address client until pred accepts its one
+// member's health or the deadline passes.
+func waitHealth(t *testing.T, c *ClusterClient, what string, pred func(Health) bool) Health {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if h := c.Health(); pred(h) {
+		if h := c.Health().Members[0]; pred(h) {
 			return h
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s (health %+v)", what, c.Health())
+	t.Fatalf("timed out waiting for %s (health %+v)", what, c.Health().Members[0])
 	return Health{}
 }
 
 // fastOpts keeps reconnect timing test-friendly. Jitter is disabled so
 // schedules are deterministic.
-func fastOpts() ResilientOptions {
-	return ResilientOptions{
+func fastOpts() ClusterOptions {
+	return ClusterOptions{
 		CallTimeout:      250 * time.Millisecond,
 		BackoffBase:      time.Millisecond,
 		BackoffMax:       5 * time.Millisecond,
@@ -62,7 +73,7 @@ func TestResilientDegradedJournalAndDrain(t *testing.T) {
 	defer srv.Close()
 
 	tree := taint.NewTree()
-	c := NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, fastOpts())
+	c := dialSingle(t, "tm:1", simDialer(n, "app:1"), tree, fastOpts())
 	defer c.Close()
 
 	// Healthy path first.
@@ -98,7 +109,7 @@ func TestResilientDegradedJournalAndDrain(t *testing.T) {
 			t.Fatalf("degraded lookup of provisional id: %v, %v", got, err)
 		}
 	}
-	if h := c.Health(); !h.Degraded {
+	if h := c.Health().Members[0]; !h.Degraded {
 		t.Fatalf("client not degraded after registers across a partition: %+v", h)
 	}
 	// Registering the same taint again must not grow the journal.
@@ -106,7 +117,7 @@ func TestResilientDegradedJournalAndDrain(t *testing.T) {
 	if err != nil || again != provIDs[0] {
 		t.Fatalf("repeat degraded register = %d, %v (want %d)", again, err, provIDs[0])
 	}
-	if h := c.Health(); h.JournalLen != 4 {
+	if h := c.Health().Members[0]; h.JournalLen != 4 {
 		t.Fatalf("journal holds %d entries, want 4", h.JournalLen)
 	}
 	// The warm taint is still resolvable from the memo while degraded.
@@ -165,7 +176,7 @@ func TestResilientReconnectReplaysBlockedRegister(t *testing.T) {
 	tree := taint.NewTree()
 	opt := fastOpts()
 	opt.BreakerThreshold = 1 << 30 // never trip: force the waiting path
-	c := NewResilientClient(simDialer(n, "app:1", "tm:1"), tree, opt)
+	c := dialSingle(t, "tm:1", simDialer(n, "app:1"), tree, opt)
 	defer c.Close()
 
 	n.Partition("app", "tm")
@@ -203,7 +214,7 @@ func TestResilientJournalBound(t *testing.T) {
 	opt := fastOpts()
 	opt.BreakerThreshold = 1
 	opt.JournalLimit = 3
-	c := NewResilientClient(func() (io.ReadWriteCloser, error) {
+	c := dialSingle(t, "tm:1", func(string) (io.ReadWriteCloser, error) {
 		return nil, errors.New("no route")
 	}, tree, opt)
 	defer c.Close()
@@ -232,9 +243,9 @@ func TestResilientJournalBound(t *testing.T) {
 func TestBackoffScheduleWithFakeClock(t *testing.T) {
 	clk := netsim.NewVirtualClock()
 	tree := taint.NewTree()
-	c := NewResilientClient(func() (io.ReadWriteCloser, error) {
+	c := dialSingle(t, "tm:1", func(string) (io.ReadWriteCloser, error) {
 		return nil, errors.New("no route")
-	}, tree, ResilientOptions{
+	}, tree, ClusterOptions{
 		BackoffBase:      10 * time.Millisecond,
 		BackoffMax:       80 * time.Millisecond,
 		JitterFrac:       -1,

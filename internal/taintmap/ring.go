@@ -161,9 +161,14 @@ func (r *Ring) OwnerOfBlob(blob []byte) uint32 {
 // first, then its RF-1 successors in partition-index order (wrapping).
 // Works for any in-range part, even one not (or no longer) in the ring:
 // ids minted under an older epoch must stay resolvable after the minter
-// leaves.
+// leaves. A single-member ring holds every partition, as in
+// OwnerOfBlob: ids another cluster minted still reach the one server a
+// standalone address names.
 func (r *Ring) Replicas(part uint32) []uint32 {
 	n := len(r.members)
+	if n == 1 {
+		return []uint32{r.members[0].Part}
+	}
 	out := make([]uint32, 0, r.RF)
 	// Start at the first member with Part >= part (the owner itself when
 	// present, its numeric successor when not).

@@ -33,12 +33,13 @@ import (
 // Sub-benchmarks:
 //
 //	Mux8           — 8 goroutines, one multiplexed tagged-protocol client
-//	Resilient8     — 8 goroutines, the multiplexed client wrapped in the
-//	                 resilience layer (default options) on a fault-free
-//	                 network — measures the wrapper's overhead, which must
-//	                 stay within 1.10x of Mux8
-//	Cluster8       — 8 goroutines, the cluster client over one plain
-//	                 server (see below)
+//	Resilient8     — 8 goroutines, the client an agent with one
+//	                 taintmap= address gets (DialClusterAddrs, default
+//	                 options) on a fault-free network — measures the
+//	                 resilience layer's overhead, which must stay within
+//	                 1.10x of Mux8
+//	Cluster8       — 8 goroutines, the same client type built over an
+//	                 explicit one-member ring (see below)
 const (
 	benchClients = 8
 	benchHotN    = 64
@@ -158,9 +159,12 @@ func BenchmarkTaintMapConcurrent(b *testing.B) {
 	b.Run("Resilient8", func(b *testing.B) {
 		env := newTMBenchEnv(b)
 		tree := taint.NewTree()
-		client := taintmap.NewResilientClient(
-			func() (io.ReadWriteCloser, error) { return net.Dial("tcp", env.addr) },
-			tree, taintmap.ResilientOptions{})
+		client, err := taintmap.DialClusterAddrs([]string{env.addr}, func(addr string) (io.ReadWriteCloser, error) {
+			return net.Dial("tcp", addr)
+		}, tree, taintmap.ClusterOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		defer client.Close()
 		runMixed(b, env, client, tree, benchClients)
 	})
